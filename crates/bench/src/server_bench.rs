@@ -19,7 +19,7 @@
 //!
 //! Reported per arm: service-time and open-loop latency percentiles
 //! (p50/p99/p999), achieved throughput, client-observed reply mix
-//! (`cache=hit/near/shared` counts), the server-side coalescing ratio
+//! (`cache=hit/shared` counts), the server-side coalescing ratio
 //! (`cache.coalesced / (coalesced + builds)` over the run) and worker
 //! utilization (`Δpool.busy-us / (workers × wall)`), both read from
 //! `stats2` — which the event loop answers inline even while every
@@ -166,8 +166,6 @@ pub struct ArmReport {
     pub errors: u64,
     /// Client-observed `cache=hit` replies.
     pub replies_hit: u64,
-    /// Client-observed `cache=near` replies.
-    pub replies_near: u64,
     /// Client-observed `cache=shared` replies (coalesced followers).
     pub replies_shared: u64,
     /// Server-side distribution builds during the run (`cache.builds`).
@@ -193,7 +191,6 @@ impl ArmReport {
             ("latency", self.latency.to_json()),
             ("errors", Json::Num(self.errors as f64)),
             ("replies_hit", Json::Num(self.replies_hit as f64)),
-            ("replies_near", Json::Num(self.replies_near as f64)),
             ("replies_shared", Json::Num(self.replies_shared as f64)),
             ("builds", Json::Num(self.builds as f64)),
             ("coalesced", Json::Num(self.coalesced as f64)),
@@ -232,7 +229,7 @@ impl ServerBenchReport {
                         "mix",
                         Json::obj(vec![
                             ("hit", Json::Num(self.opts.load.hit_frac)),
-                            ("near", Json::Num(self.opts.load.near_frac)),
+                            ("twin", Json::Num(self.opts.load.twin_frac)),
                             ("coalesce", Json::Num(self.opts.load.coalesce_frac)),
                             (
                                 "coalesce_burst",
@@ -468,7 +465,7 @@ mod engine {
         .map_err(|e| format!("start {mode} server: {e}"))?;
         let addr = server.addr();
 
-        // closed-loop priming so hit/near traffic behaves as labelled
+        // closed-loop priming so hit traffic behaves as labelled
         {
             let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
             let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
@@ -499,7 +496,7 @@ mod engine {
         let mut sent_us = vec![0u64; total];
         let mut done_us = vec![0u64; total];
         let mut errors = 0u64;
-        let (mut hit, mut near, mut shared) = (0u64, 0u64, 0u64);
+        let (mut hit, mut shared) = (0u64, 0u64);
         let mut completed = 0usize;
         let mut next = 0usize; // next schedule entry to inject
         let start = Instant::now();
@@ -586,8 +583,6 @@ mod engine {
                             shared += 1;
                         } else if line.contains(" cache=hit") {
                             hit += 1;
-                        } else if line.contains(" cache=near") {
-                            near += 1;
                         }
                     }
                 }
@@ -621,7 +616,6 @@ mod engine {
             latency: Pcts::from_sorted(&latency),
             errors,
             replies_hit: hit,
-            replies_near: near,
             replies_shared: shared,
             builds,
             coalesced,
@@ -656,7 +650,6 @@ mod tests {
             },
             errors: 0,
             replies_hit: 50,
-            replies_near: 10,
             replies_shared: if ratio > 0.0 { 7 } else { 0 },
             builds: 20,
             coalesced: (ratio * 20.0) as u64,

@@ -37,11 +37,13 @@ use rand::SeedableRng;
 /// totals to span-derived values from the solver trace and added the
 /// `trace` section (traced-vs-untraced wall time and span coverage).
 /// `/4` added the `distribution_ref` before/after arm (the pre-scratch
-/// allocating sampler vs the scratch-reuse path, with allocation counters
-/// and tree-prune cost parity) and the degenerate-host annotation: when
-/// the run has no real parallelism, stage objects carry
-/// `parallel_arm: "degenerate"` instead of a meaningless ~1.0 `speedup`.
-pub const SCHEMA: &str = "hgp-bench-solver/4";
+/// allocating sampler vs the scratch-reuse path, with allocation counters)
+/// and the degenerate-host annotation: when the run has no real
+/// parallelism, stage objects carry `parallel_arm: "degenerate"` instead
+/// of a meaningless ~1.0 `speedup`. `/5` dropped the tree-prune fields
+/// (`pruned_trees`, `pruned_cost`, `pruned_cost_parity`) from
+/// `distribution_ref` along with the prune option itself.
+pub const SCHEMA: &str = "hgp-bench-solver/5";
 
 /// Workload and measurement knobs for [`run_solver_bench`].
 #[derive(Clone, Copy, Debug)]
@@ -186,8 +188,7 @@ impl TraceCost {
 /// Before/after comparison of the distribution stage, serial arm: the
 /// pre-scratch allocating reference sampler
 /// ([`hgp_decomp::racke_distribution_ref`]) against the production
-/// scratch-reuse path, on identical inputs — plus the tree-prune
-/// post-pass priced on the same workload.
+/// scratch-reuse path, on identical inputs.
 #[derive(Clone, Copy, Debug)]
 pub struct DistributionArm {
     /// Reference (allocating) sampler wall time, min over repeats.
@@ -201,25 +202,7 @@ pub struct DistributionArm {
     /// `true` iff sweeping both builds returned bit-identical costs and
     /// assignments (the scratch path must not change sampling).
     pub identical_cost: bool,
-    /// Trees surviving the `prune_dominated` post-pass.
-    pub pruned_trees: usize,
-    /// Full-sweep cost on the pruned distribution.
-    pub pruned_cost: f64,
-    /// `true` iff the pruned build's sweep cost is within
-    /// [`PRUNE_COST_TOLERANCE`] of the default build's. Exact parity is
-    /// unobtainable in principle: the sweep arg-mins the mapped cost over
-    /// the tree set, and pruning minimises over a congestion-Pareto
-    /// *subset*, so the winner can be dropped — the check bounds the loss
-    /// instead.
-    pub pruned_cost_parity: bool,
 }
-
-/// Largest tolerated sweep-cost increase from the `prune_dominated`
-/// post-pass, as a fraction of the default build's cost: 5 %. Dropping
-/// congestion-dominated trees shrinks the DP fan-out (to a single tree on
-/// the reference mesh — an 8× sweep saving) and may only shift the final
-/// cost within this bound.
-pub const PRUNE_COST_TOLERANCE: f64 = 0.05;
 
 impl DistributionArm {
     /// `ref / new` — the wall-time win of scratch reuse.
@@ -291,7 +274,7 @@ pub struct SolverBenchReport {
     /// Distribution-stage heap traffic.
     pub distribution_allocs: StageAllocs,
     /// Before/after arm of the distribution stage (reference allocating
-    /// sampler vs scratch reuse, plus prune parity).
+    /// sampler vs scratch reuse).
     pub distribution_ref: DistributionArm,
     /// DP-sweep heap traffic.
     pub dp_allocs: StageAllocs,
@@ -418,9 +401,8 @@ fn measure_trace_cost(
 
 /// Prices the distribution-stage rework: the pre-scratch reference
 /// sampler vs the scratch-reuse path, untraced and serial so the
-/// allocator counters compare like with like, then sweeps every build to
-/// pin cost parity — including the `prune_dominated` post-pass, which
-/// must shrink the DP fan-out without changing the answer.
+/// allocator counters compare like with like, then sweeps both builds to
+/// pin cost parity.
 fn measure_distribution_arm(
     inst: &Instance,
     h: &Hierarchy,
@@ -466,18 +448,6 @@ fn measure_distribution_arm(
     let on_new = req
         .run_on(&new_dist)
         .map_err(|e| format!("sweep on scratch build failed: {e}"))?;
-    let pruned_opts = {
-        let mut decomp = untraced.decomp;
-        decomp.prune_dominated = true;
-        untraced.to_builder().decomp(decomp).build()
-    };
-    let pruned_req = Solve::new(inst, h).options(pruned_opts);
-    let pruned_dist = pruned_req
-        .distribution()
-        .map_err(|e| format!("pruned distribution failed: {e}"))?;
-    let on_pruned = pruned_req
-        .run_on(&pruned_dist)
-        .map_err(|e| format!("sweep on pruned build failed: {e}"))?;
     Ok(DistributionArm {
         ref_serial_ms: ref_ms,
         new_serial_ms: new_ms,
@@ -486,9 +456,6 @@ fn measure_distribution_arm(
         identical_cost: on_ref.cost.to_bits() == on_new.cost.to_bits()
             && on_ref.assignment == on_new.assignment
             && on_ref.best_tree == on_new.best_tree,
-        pruned_trees: pruned_dist.trees.len(),
-        pruned_cost: on_pruned.cost,
-        pruned_cost_parity: on_pruned.cost <= on_new.cost * (1.0 + PRUNE_COST_TOLERANCE),
     })
 }
 
@@ -774,15 +741,6 @@ impl SolverBenchReport {
                         "identical_cost",
                         Json::Bool(self.distribution_ref.identical_cost),
                     ),
-                    (
-                        "pruned_trees",
-                        Json::Num(self.distribution_ref.pruned_trees as f64),
-                    ),
-                    ("pruned_cost", Json::Num(self.distribution_ref.pruned_cost)),
-                    (
-                        "pruned_cost_parity",
-                        Json::Bool(self.distribution_ref.pruned_cost_parity),
-                    ),
                 ]),
             ),
             (
@@ -913,24 +871,20 @@ pub fn validate(text: &str) -> Result<(), String> {
         "ref_serial_calls",
         "new_serial_calls",
         "alloc_reduction",
-        "pruned_trees",
-        "pruned_cost",
     ] {
         time(&["distribution_ref", field])?;
     }
-    for flag in ["identical_cost", "pruned_cost_parity"] {
-        match doc
-            .path(&["distribution_ref", flag])
-            .and_then(Json::as_bool)
-        {
-            Some(true) => {}
-            Some(false) => {
-                return Err(format!(
-                    "distribution parity violated: distribution_ref.{flag} = false"
-                ))
-            }
-            None => return Err(format!("missing distribution_ref.{flag}")),
+    match doc
+        .path(&["distribution_ref", "identical_cost"])
+        .and_then(Json::as_bool)
+    {
+        Some(true) => {}
+        Some(false) => {
+            return Err(
+                "distribution parity violated: distribution_ref.identical_cost = false".to_string(),
+            )
         }
+        None => return Err("missing distribution_ref.identical_cost".to_string()),
     }
     time(&["engine", "legacy_dp_serial_ms"])?;
     time(&["engine", "arena_dp_serial_ms"])?;
@@ -1089,18 +1043,11 @@ mod tests {
             );
         }
         // the before/after distribution arm: scratch reuse must not change
-        // the answer, and the prune post-pass must keep at least one tree
-        // at cost parity
+        // the answer
         assert!(
             report.distribution_ref.identical_cost,
             "scratch-reuse path changed the solve"
         );
-        assert!(
-            report.distribution_ref.pruned_cost_parity,
-            "tree pruning changed the solve cost"
-        );
-        assert!(report.distribution_ref.pruned_trees >= 1);
-        assert!(report.distribution_ref.pruned_trees <= report.opts.trees);
         for field in ["ref_serial_ms", "new_serial_ms", "alloc_reduction"] {
             assert!(
                 doc.path(&["distribution_ref", field]).is_some(),
@@ -1128,15 +1075,7 @@ mod tests {
         let good = report.to_json().to_pretty();
         let no_parity = good.replace("\"identical_cost\": true", "\"identical_cost\": false");
         assert!(validate(&no_parity).is_err(), "parity=false must fail");
-        let no_prune_parity = good.replace(
-            "\"pruned_cost_parity\": true",
-            "\"pruned_cost_parity\": false",
-        );
-        assert!(
-            validate(&no_prune_parity).is_err(),
-            "prune parity=false must fail"
-        );
-        let wrong_schema = good.replace(SCHEMA, "hgp-bench-solver/3");
+        let wrong_schema = good.replace(SCHEMA, "hgp-bench-solver/4");
         assert!(validate(&wrong_schema).is_err(), "old schema must fail");
     }
 

@@ -56,11 +56,9 @@ pub fn component_count_bound(inst: &Instance, h: &Hierarchy, slack: f64) -> f64 
 
 #[cfg(test)]
 mod tests {
-    // the deprecated free functions stay exercised here on purpose
-    #![allow(deprecated)]
     use super::*;
     use crate::exact::{solve_exact, ExactOptions};
-    use crate::{solve_tree_instance, Rounding};
+    use crate::Solve;
     use hgp_graph::{generators, Graph};
     use hgp_hierarchy::presets;
     use rand::rngs::StdRng;
@@ -88,7 +86,8 @@ mod tests {
         let g = generators::random_tree(&mut rng, 16, 0.5, 2.0);
         let inst = Instance::uniform(g, 0.45);
         let h = presets::multicore(2, 4, 4.0, 1.0);
-        let rep = solve_tree_instance(&inst, &h, Rounding::with_units(8)).unwrap();
+        // default options round on the 8-units-per-leaf grid
+        let rep = Solve::new(&inst, &h).run_tree().unwrap();
         let slack = rep.violation.worst_factor().max(1.0);
         let lb = component_count_bound(&inst, &h, slack);
         assert!(lb <= rep.cost + 1e-9, "bound {lb} vs achieved {}", rep.cost);

@@ -19,7 +19,7 @@ pub enum HgpError {
     Infeasible(Infeasibility),
     /// The rounded DP admits no capacity-feasible labelling.
     CapacityInfeasible,
-    /// `solve_tree_instance` was handed a graph that is not a tree.
+    /// `Solve::run_tree` was handed a graph that is not a tree.
     NotATree,
     /// The communication graph is disconnected.
     Disconnected,

@@ -1,12 +1,9 @@
 //! The unified solve façade: one documented entry point for every way of
 //! running the pipeline.
 //!
-//! Historically the crate exposed three loose entry points — `solve`
-//! (full pipeline), `build_distribution` + `solve_on_distribution` (the
-//! cache-friendly split), and `solve_tree_instance` (the §3 reduction for
-//! tree-shaped communication graphs). [`Solve`] subsumes all of them
-//! behind one request type; the free functions remain as thin deprecated
-//! wrappers for one release.
+//! [`Solve`] covers the full pipeline, the cache-friendly split into a
+//! reusable distribution plus a per-machine sweep, and the §3 reduction
+//! for tree-shaped communication graphs, behind one request type.
 //!
 //! ```
 //! use hgp_core::{Instance, Solve};
@@ -34,10 +31,9 @@
 //! ```
 
 use crate::solver::{
-    build_distribution_impl, build_distribution_warm_impl, solve_impl, solve_on_distribution_impl,
-    HgpReport, SolverOptions,
+    build_distribution_impl, solve_impl, solve_on_distribution_impl, HgpReport, SolverOptions,
 };
-use crate::tree_solver::{solve_tree_instance_impl, SolveError, TreeSolveReport};
+use crate::tree_solver::{solve_tree_shaped_impl, SolveError, TreeSolveReport};
 use crate::Instance;
 use hgp_decomp::Distribution;
 use hgp_hierarchy::Hierarchy;
@@ -103,22 +99,6 @@ impl<'a> Solve<'a> {
         build_distribution_impl(self.inst, &self.opts, None)
     }
 
-    /// Like [`distribution`](Solve::distribution), but warm-starts the
-    /// MWU loop from a previously built distribution for a
-    /// *topologically identical* graph (same node set and edge
-    /// endpoints; weights may differ — the near-hit tier of a
-    /// `DecompCache` keyed by
-    /// [`crate::fingerprint::topology_fingerprint`]). The cached trees'
-    /// congestion profile seeds the edge lengths, so sampling resumes
-    /// where the cached run converged. A `warm` argument that does not
-    /// match this instance's node set is ignored and the build falls
-    /// back to a cold start. Note the result generally *differs* from
-    /// the cold-start distribution — callers opting in trade
-    /// bit-reproducibility against cache state for faster convergence.
-    pub fn distribution_warm(&self, warm: &Distribution) -> Result<Distribution, SolveError> {
-        build_distribution_warm_impl(self.inst, &self.opts, Some(warm), None)
-    }
-
     /// Runs the per-tree sweep on a pre-built distribution.
     pub fn run_on(&self, dist: &Distribution) -> Result<HgpReport, SolveError> {
         solve_on_distribution_impl(self.inst, self.machine, dist, &self.opts)
@@ -130,7 +110,7 @@ impl<'a> Solve<'a> {
     /// (`num_trees`, `decomp`, `seed`, `parallelism`) are irrelevant
     /// here and ignored.
     pub fn run_tree(&self) -> Result<TreeSolveReport, SolveError> {
-        solve_tree_instance_impl(
+        solve_tree_shaped_impl(
             self.inst,
             self.machine,
             self.opts.rounding,
@@ -152,26 +132,16 @@ mod tests {
     }
 
     #[test]
-    fn facade_matches_deprecated_entry_points() {
-        #![allow(deprecated)]
+    fn run_matches_distribution_then_run_on() {
         let inst = path_instance(8);
         let h = presets::multicore(2, 4, 4.0, 1.0);
         let opts = SolverOptions::builder().trees(4).seed(42).build();
 
-        let via_facade = Solve::new(&inst, &h).options(opts).run().unwrap();
-        let via_free = crate::solver::solve(&inst, &h, &opts).unwrap();
-        assert_eq!(via_facade.cost.to_bits(), via_free.cost.to_bits());
-        assert_eq!(via_facade.assignment, via_free.assignment);
-
+        let via_run = Solve::new(&inst, &h).options(opts).run().unwrap();
         let dist = Solve::new(&inst, &h).options(opts).distribution().unwrap();
         let on_dist = Solve::new(&inst, &h).options(opts).run_on(&dist).unwrap();
-        assert_eq!(on_dist.cost.to_bits(), via_facade.cost.to_bits());
-
-        let tree_facade = Solve::new(&inst, &h).run_tree().unwrap();
-        let tree_free =
-            crate::tree_solver::solve_tree_instance(&inst, &h, crate::Rounding::with_units(8))
-                .unwrap();
-        assert_eq!(tree_facade.cost.to_bits(), tree_free.cost.to_bits());
+        assert_eq!(on_dist.cost.to_bits(), via_run.cost.to_bits());
+        assert_eq!(on_dist.assignment, via_run.assignment);
     }
 
     #[test]

@@ -90,11 +90,11 @@ pub fn instance_fingerprint(inst: &Instance) -> u64 {
 /// no edge weights, no demands.
 ///
 /// Two instances that differ only in weights/demands collide here on
-/// purpose: that is the `DecompCache` *near-miss* tier. A near-hit cannot
-/// reuse a cached distribution verbatim (the MWU sampled against the old
-/// weights), but it can warm-start MWU from the cached trees' congestion
-/// profile (`hgp_decomp::warm_start_lengths`), which is sound because hop
-/// congestion is a function of topology and tree shape alone.
+/// purpose. [`crate::elastic::Session::resolve`] compares this key with the
+/// one its cached distribution was built for: a demand or weight edit
+/// leaves the topology alone, so the cached trees still biject with the
+/// tasks and a warm single-tree re-solve is sound; adding or removing tasks
+/// or edges changes the key and forces a cold rebuild.
 pub fn topology_fingerprint(g: &hgp_graph::Graph) -> u64 {
     let mut fp = Fingerprinter::new();
     fp.write_usize(g.num_nodes()).write_usize(g.num_edges());
@@ -132,16 +132,11 @@ pub(crate) fn write_decomp_opts(fp: &mut Fingerprinter, opts: &DecompOpts) {
         })
         // the MWU wave width changes which distribution is sampled (it is
         // an algorithm knob, unlike Parallelism), so it feeds the key
-        .write_usize(opts.mwu_wave)
-        // both opt-ins change which trees the DP sees, so they feed the
-        // key (default off; a cache only ever compares keys produced by
-        // the same build, so extending the absorbed word stream is safe)
-        .write_u64(opts.warm_start as u64)
-        .write_u64(opts.prune_dominated as u64);
+        .write_usize(opts.mwu_wave);
 }
 
 /// Cache key for a Räcke tree distribution: everything
-/// [`crate::solver::build_distribution`] reads — the instance topology plus
+/// [`crate::Solve::distribution`] reads — the instance topology plus
 /// the distribution's construction knobs (`num_trees`, decomposition
 /// options, seed). Deliberately excludes the hierarchy and rounding: the
 /// same distribution serves solves against any machine shape.
@@ -214,7 +209,7 @@ mod tests {
         assert_eq!(
             topology_fingerprint(&a),
             topology_fingerprint(&reweighted),
-            "weights must not feed the near-miss key"
+            "weights must not feed the topology key"
         );
         assert_ne!(topology_fingerprint(&a), topology_fingerprint(&rewired));
         // and it differs from the weight-sensitive instance key on purpose
@@ -290,20 +285,6 @@ mod tests {
             solve_fingerprint(&i, &h1, &opts),
             solve_fingerprint(&i, &h1, &ml_depth),
             "coarsen_until changes the V-cycle shape, so it feeds the key"
-        );
-        let mut warmed = opts;
-        warmed.decomp.warm_start = true;
-        assert_ne!(
-            distribution_fingerprint(&i, &opts),
-            distribution_fingerprint(&i, &warmed),
-            "warm-started root bisections sample a different distribution"
-        );
-        let mut pruned_trees = opts;
-        pruned_trees.decomp.prune_dominated = true;
-        assert_ne!(
-            distribution_fingerprint(&i, &opts),
-            distribution_fingerprint(&i, &pruned_trees),
-            "the Andersen–Feige post-pass changes the distribution"
         );
         let mut traced = opts;
         traced.trace = true;

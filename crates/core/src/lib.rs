@@ -16,10 +16,7 @@
 //! * [`solver`] — HGP on arbitrary graphs: embed into a distribution of
 //!   decomposition trees (Theorem 6/7), solve each tree, keep the best
 //!   assignment when mapped back to `G` (Theorem 1);
-//! * [`Solve`] — the unified request façade over both pipelines (the
-//!   free functions `solve`, `build_distribution`,
-//!   `solve_on_distribution`, and `solve_tree_instance` are deprecated
-//!   thin wrappers around it);
+//! * [`Solve`] — the one request façade over both pipelines;
 //! * [`elastic`] — the transactional mutation + warm re-solve layer for
 //!   long-lived placements: [`Session::apply`] validates and applies
 //!   batches of typed [`Mutation`]s all-or-nothing, and
@@ -75,6 +72,4 @@ pub use instance::{Infeasibility, Instance};
 pub use relaxed::{DpOptions, DpOptionsBuilder};
 pub use rounding::Rounding;
 pub use solver::{HgpReport, MultilevelOptions, SolverOptions, SolverOptionsBuilder};
-#[allow(deprecated)]
-pub use tree_solver::solve_tree_instance;
 pub use tree_solver::{SolveError, TreeSolveReport};

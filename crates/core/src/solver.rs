@@ -9,7 +9,7 @@
 //!
 //! Both expensive stages are embarrassingly parallel and share the
 //! deterministic fan-out of [`hgp_decomp::par_map_indexed`]: tree sampling
-//! proceeds in MWU waves ([`racke_distribution_warm`]) and the per-tree DPs
+//! proceeds in MWU waves ([`racke_distribution_par`]) and the per-tree DPs
 //! run on a crossbeam scope with work stealing. Results are reduced in tree
 //! order (cost ties broken by tree index), so the output is bit-identical
 //! for every [`Parallelism`] setting — see DESIGN.md §8.
@@ -17,7 +17,7 @@
 use crate::relaxed::DpOptions;
 use crate::tree_solver::{solve_rooted_traced, SolveError, TreeSolveReport};
 use crate::{Assignment, Instance, Rounding, ViolationReport};
-use hgp_decomp::{par_map_indexed, racke_distribution_warm, DecompOpts, Distribution, Parallelism};
+use hgp_decomp::{par_map_indexed, racke_distribution_par, DecompOpts, Distribution, Parallelism};
 use hgp_hierarchy::Hierarchy;
 use hgp_obs::{SolveTrace, StageNanos, TraceSink};
 use rand::rngs::StdRng;
@@ -29,8 +29,7 @@ use rand::SeedableRng;
 /// `SolveTrace::dropped_spans`.
 pub(crate) const SPAN_CAPACITY: usize = 1024;
 
-/// Options for the solve pipeline (the [`crate::Solve`] façade and the
-/// deprecated free functions).
+/// Options for the solve pipeline (the [`crate::Solve`] façade).
 ///
 /// Construct via [`SolverOptions::builder`] — the struct is
 /// `#[non_exhaustive]` so new knobs (like [`trace`](Self::trace)) can be
@@ -199,7 +198,7 @@ impl SolverOptionsBuilder {
     }
 }
 
-/// Outcome of [`solve`].
+/// Outcome of [`Solve::run`](crate::Solve::run).
 #[derive(Clone, Debug)]
 pub struct HgpReport {
     /// Best assignment found.
@@ -234,18 +233,6 @@ pub struct HgpReport {
 }
 
 /// Solves HGP on an arbitrary (connected) communication graph.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `hgp_core::Solve` façade: `Solve::new(inst, h).options(opts).run()`"
-)]
-pub fn solve(
-    inst: &Instance,
-    h: &Hierarchy,
-    opts: &SolverOptions,
-) -> Result<HgpReport, SolveError> {
-    solve_impl(inst, h, opts)
-}
-
 pub(crate) fn solve_impl(
     inst: &Instance,
     h: &Hierarchy,
@@ -273,77 +260,37 @@ pub(crate) fn solve_impl(
 }
 
 /// Builds the Räcke tree distribution for an instance — the expensive,
-/// *hierarchy-independent* half of [`solve`].
+/// *hierarchy-independent* half of [`solve_impl`].
 ///
 /// The distribution depends only on the communication topology and the
 /// construction knobs in `opts` (`num_trees`, `decomp`, `seed`) — not on
 /// the machine it will later be solved against — so callers serving many
 /// requests (e.g. `hgp-server`) cache the result keyed by
 /// [`crate::fingerprint::distribution_fingerprint`] and feed it back
-/// through [`solve_on_distribution`], skipping the embedding entirely on
-/// repeat topologies.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `hgp_core::Solve` façade: `Solve::new(inst, h).options(opts).distribution()`"
-)]
-pub fn build_distribution(
-    inst: &Instance,
-    opts: &SolverOptions,
-) -> Result<Distribution, SolveError> {
-    build_distribution_impl(inst, opts, None)
-}
-
+/// through [`solve_on_distribution_impl`], skipping the embedding entirely
+/// on repeat topologies.
 pub(crate) fn build_distribution_impl(
     inst: &Instance,
     opts: &SolverOptions,
-    sink: Option<&TraceSink>,
-) -> Result<Distribution, SolveError> {
-    build_distribution_warm_impl(inst, opts, None, sink)
-}
-
-/// [`build_distribution_impl`] with an optional warm-start distribution
-/// (a `DecompCache` near-hit on the weight-insensitive
-/// [`crate::fingerprint::topology_fingerprint`]): the cached trees'
-/// congestion profile seeds the MWU edge lengths, so sampling resumes
-/// where the cached run converged instead of from uniform lengths. A
-/// `warm` that does not cover this instance's node set is ignored.
-pub(crate) fn build_distribution_warm_impl(
-    inst: &Instance,
-    opts: &SolverOptions,
-    warm: Option<&Distribution>,
     sink: Option<&TraceSink>,
 ) -> Result<Distribution, SolveError> {
     if !hgp_graph::traversal::is_connected(inst.graph()) {
         return Err(SolveError::Disconnected);
     }
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    Ok(racke_distribution_warm(
+    Ok(racke_distribution_par(
         inst.graph(),
         inst.demands(),
         opts.num_trees,
         &opts.decomp,
         opts.parallelism,
         &mut rng,
-        warm,
         sink,
     ))
 }
 
 /// Solves HGP given a pre-built distribution (lets experiments reuse
 /// distributions across hierarchies and ablations).
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `hgp_core::Solve` façade: `Solve::new(inst, h).options(opts).run_on(dist)`"
-)]
-pub fn solve_on_distribution(
-    inst: &Instance,
-    h: &Hierarchy,
-    dist: &Distribution,
-    opts: &SolverOptions,
-) -> Result<HgpReport, SolveError> {
-    solve_on_distribution_impl(inst, h, dist, opts)
-}
-
 pub(crate) fn solve_on_distribution_impl(
     inst: &Instance,
     h: &Hierarchy,
@@ -450,9 +397,8 @@ fn solve_on_distribution_sink(
 
 #[cfg(test)]
 mod tests {
-    // the deprecated free functions stay exercised here on purpose
-    #![allow(deprecated)]
     use super::*;
+    use crate::Solve;
     use hgp_graph::generators;
     use hgp_graph::Graph;
     use hgp_hierarchy::presets;
@@ -465,7 +411,7 @@ mod tests {
         let g = generators::planted_clusters(&mut rng, 2, 4, 0.9, 4.0, 0.05, 0.5);
         let inst = Instance::uniform(g, 0.5);
         let h = presets::multicore(2, 2, 4.0, 1.0);
-        let rep = solve(&inst, &h, &SolverOptions::default()).unwrap();
+        let rep = Solve::new(&inst, &h).run().unwrap();
         // planted blocks should stay socket-local: every intra-block edge
         // at multiplier <= 1
         let worst = rep.violation.worst_factor();
@@ -488,7 +434,7 @@ mod tests {
         let g = generators::gnp_connected(&mut rng, 18, 0.25, 0.5, 2.0);
         let inst = Instance::uniform(g, 0.3);
         let h = presets::multicore(2, 3, 5.0, 1.0);
-        let rep = solve(&inst, &h, &SolverOptions::default()).unwrap();
+        let rep = Solve::new(&inst, &h).run().unwrap();
         assert!(
             rep.cost <= rep.certificate + 1e-9,
             "Proposition 1 violated: mapped cost {} > certificate {}",
@@ -511,8 +457,8 @@ mod tests {
             parallelism: Parallelism::Fixed(4),
             ..Default::default()
         };
-        let r1 = solve(&inst, &h, &o1).unwrap();
-        let r4 = solve(&inst, &h, &o4).unwrap();
+        let r1 = Solve::new(&inst, &h).options(o1).run().unwrap();
+        let r4 = Solve::new(&inst, &h).options(o4).run().unwrap();
         assert_eq!(r1.best_tree, r4.best_tree);
         assert!((r1.cost - r4.cost).abs() < 1e-12);
         assert_eq!(r1.assignment, r4.assignment);
@@ -524,7 +470,7 @@ mod tests {
         let inst = Instance::uniform(g, 0.5);
         let h = presets::flat(4);
         assert_eq!(
-            solve(&inst, &h, &SolverOptions::default()).unwrap_err(),
+            Solve::new(&inst, &h).run().unwrap_err(),
             SolveError::Disconnected
         );
     }
@@ -546,7 +492,7 @@ mod tests {
         );
         let inst = Instance::kbgp(g, 2);
         let h = presets::bisection();
-        let rep = solve(&inst, &h, &SolverOptions::default()).unwrap();
+        let rep = Solve::new(&inst, &h).run().unwrap();
         assert!(
             (rep.cost - 1.0).abs() < 1e-9,
             "expected the bridge cut, got {}",

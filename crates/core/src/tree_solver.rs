@@ -2,8 +2,8 @@
 //!
 //! `solve_rooted` runs rounding → relaxed DP → laminar reconstruction →
 //! Theorem-5 repair → leaf assignment on an arbitrary rooted tree whose
-//! leaves carry tasks. `solve_tree_instance` additionally performs the §3
-//! reduction for instances whose *communication graph is itself a tree*
+//! leaves carry tasks. [`crate::Solve::run_tree`] additionally performs the
+//! §3 reduction for instances whose *communication graph is itself a tree*
 //! (every node is a job): each node gets a dummy leaf attached with an
 //! infinite-weight (uncuttable) edge, making "partition the leaves"
 //! equivalent to "partition all nodes".
@@ -207,25 +207,12 @@ pub fn rooted_with_dummies(inst: &Instance) -> Result<(RootedTree, Vec<u32>), So
 }
 
 /// HGPT for instances whose communication graph is a tree: the §3 reduction
-/// plus [`solve_rooted`]. On such instances the DP certificate is *exact*
-/// (equal to the Equation-1 cost of the produced assignment, up to the
-/// Lemma-1 normalisation shift), so the result is optimal in cost among
-/// capacity-respecting assignments (Theorem 2).
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `hgp_core::Solve` façade: `Solve::new(inst, h).options(opts).run_tree()`"
-)]
-pub fn solve_tree_instance(
-    inst: &Instance,
-    h: &Hierarchy,
-    rounding: Rounding,
-) -> Result<TreeSolveReport, SolveError> {
-    solve_tree_instance_impl(inst, h, rounding, DpOptions::default(), false)
-}
-
-/// Shared implementation behind the deprecated [`solve_tree_instance`]
-/// wrapper and [`crate::Solve::run_tree`].
-pub(crate) fn solve_tree_instance_impl(
+/// plus [`solve_rooted`], behind [`crate::Solve::run_tree`]. On such
+/// instances the DP certificate is *exact* (equal to the Equation-1 cost of
+/// the produced assignment, up to the Lemma-1 normalisation shift), so the
+/// result is optimal in cost among capacity-respecting assignments
+/// (Theorem 2).
+pub(crate) fn solve_tree_shaped_impl(
     inst: &Instance,
     h: &Hierarchy,
     rounding: Rounding,
@@ -250,11 +237,20 @@ pub(crate) fn solve_tree_instance_impl(
 
 #[cfg(test)]
 mod tests {
-    // the deprecated free functions stay exercised here on purpose
-    #![allow(deprecated)]
     use super::*;
+    use crate::solver::SolverOptions;
+    use crate::Solve;
     use hgp_graph::Graph;
     use hgp_hierarchy::presets;
+
+    fn solve_tree(
+        inst: &Instance,
+        h: &Hierarchy,
+        rounding: Rounding,
+    ) -> Result<TreeSolveReport, SolveError> {
+        let opts = SolverOptions::builder().rounding(rounding).build();
+        Solve::new(inst, h).options(opts).run_tree()
+    }
 
     #[test]
     fn path_on_two_sockets_cuts_once() {
@@ -263,7 +259,7 @@ mod tests {
         let inst = Instance::uniform(g, 1.0);
         let h = presets::multicore(2, 2, 4.0, 1.0);
         let r = Rounding::with_units(4);
-        let rep = solve_tree_instance(&inst, &h, r).unwrap();
+        let rep = solve_tree(&inst, &h, r).unwrap();
         // optimal: {0,1} on one socket, {2,3} on the other, each task its own
         // core: cost = 1*4 (middle edge remote) + 1 + 1 (intra-socket) = 6
         assert!((rep.cost - 6.0).abs() < 1e-9, "cost {}", rep.cost);
@@ -278,7 +274,7 @@ mod tests {
         let g = Graph::from_edges(2, &[(0, 1, 10.0)]);
         let inst = Instance::uniform(g, 0.5);
         let h = presets::multicore(2, 2, 4.0, 1.0);
-        let rep = solve_tree_instance(&inst, &h, Rounding::with_units(4)).unwrap();
+        let rep = solve_tree(&inst, &h, Rounding::with_units(4)).unwrap();
         assert!(rep.cost.abs() < 1e-9);
         assert_eq!(rep.assignment.leaf(0), rep.assignment.leaf(1));
     }
@@ -291,12 +287,12 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1, 5.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0)]);
         let inst = Instance::uniform(g, 1.0);
         let h = presets::flat(5);
-        let rep = solve_tree_instance(&inst, &h, Rounding::with_units(2)).unwrap();
+        let rep = solve_tree(&inst, &h, Rounding::with_units(2)).unwrap();
         assert!((rep.cost - 8.0).abs() < 1e-9);
         // with capacity 2 per part on 3 parts: keep the 5-edge together
         let h3 = hgp_hierarchy::Hierarchy::new(vec![3], vec![1.0, 0.0]);
         let inst2 = Instance::uniform(inst.graph().clone(), 0.5);
-        let rep2 = solve_tree_instance(&inst2, &h3, Rounding::with_units(4)).unwrap();
+        let rep2 = solve_tree(&inst2, &h3, Rounding::with_units(4)).unwrap();
         // {0,1} together, {2,3} together, {4}: cut cost 1+1+1 = 3
         assert!((rep2.cost - 3.0).abs() < 1e-9, "cost {}", rep2.cost);
         let a = &rep2.assignment;
@@ -309,13 +305,13 @@ mod tests {
         let inst = Instance::uniform(g, 1.0);
         let h = presets::flat(3);
         assert_eq!(
-            solve_tree_instance(&inst, &h, Rounding::with_units(2)).unwrap_err(),
+            solve_tree(&inst, &h, Rounding::with_units(2)).unwrap_err(),
             SolveError::NotATree
         );
         let g2 = Graph::from_edges(3, &[(0, 1, 1.0)]);
         let inst2 = Instance::uniform(g2, 1.0);
         assert_eq!(
-            solve_tree_instance(&inst2, &h, Rounding::with_units(2)).unwrap_err(),
+            solve_tree(&inst2, &h, Rounding::with_units(2)).unwrap_err(),
             SolveError::Disconnected
         );
     }
@@ -328,7 +324,7 @@ mod tests {
         let g = Graph::from_edges(16, &edges);
         let inst = Instance::uniform(g, 0.9);
         let h = hgp_hierarchy::Hierarchy::new(vec![2, 2, 2, 2], vec![16.0, 8.0, 4.0, 1.0, 0.0]);
-        let rep = solve_tree_instance(&inst, &h, Rounding::with_units(2)).unwrap();
+        let rep = solve_tree(&inst, &h, Rounding::with_units(2)).unwrap();
         assert!(rep.cost > 0.0);
         assert_eq!(rep.level_set_counts.len(), 4);
         assert!(rep.violation.worst_factor() <= (1.0 + 4.0) * 1.5 + 1e-9);
@@ -342,7 +338,7 @@ mod tests {
         let inst = Instance::uniform(g, 1.0);
         let h = presets::flat(1);
         assert!(matches!(
-            solve_tree_instance(&inst, &h, Rounding::with_units(2)).unwrap_err(),
+            solve_tree(&inst, &h, Rounding::with_units(2)).unwrap_err(),
             SolveError::Infeasible(_)
         ));
     }
@@ -355,7 +351,7 @@ mod tests {
         let g = Graph::from_edges(8, &edges);
         let inst = Instance::uniform(g, 1.0);
         let h = presets::hyperthreaded(2, 2, 2, 8.0, 2.0, 1.0);
-        let rep = solve_tree_instance(&inst, &h, Rounding::with_units(2)).unwrap();
+        let rep = solve_tree(&inst, &h, Rounding::with_units(2)).unwrap();
         assert!(rep.cost > 0.0);
         assert!(rep.violation.worst_factor() <= (1.0 + 3.0) * 1.5 + 1e-9);
         assert_eq!(rep.level_set_counts.len(), 3);

@@ -64,24 +64,6 @@ pub struct DecompOpts {
     /// thread count — so the sampled distribution is identical for every
     /// `Parallelism` setting.
     pub mwu_wave: usize,
-    /// Warm-start root bisections between MWU waves (default `false`).
-    ///
-    /// When set, tree `i` (for `i >= mwu_wave`) also evaluates the root
-    /// split of tree `i - mwu_wave`, FM-polished under the current wave's
-    /// edge lengths, and keeps it when its length-scaled cut is strictly
-    /// better than the fresh multilevel candidate's. RNG consumption is
-    /// unchanged, so this is deterministic at every `Parallelism` — but it
-    /// *changes which trees are sampled*, so it participates in the solve
-    /// fingerprint and is off in bit-identical-output mode.
-    pub warm_start: bool,
-    /// Andersen–Feige-style post-pass on the sampled distribution
-    /// (default `false`): re-weight trees by measured congestion
-    /// (`λᵢ ∝ 1 / (1 + avg-congestionᵢ)`) and drop trees whose congestion
-    /// stats are strictly Pareto-dominated by another tree's, so fewer,
-    /// better trees reach the DP fan-out. Changes the distribution the DP
-    /// sees, so it participates in the solve fingerprint and is off in
-    /// bit-identical-output mode.
-    pub prune_dominated: bool,
 }
 
 impl Default for DecompOpts {
@@ -90,8 +72,6 @@ impl Default for DecompOpts {
             bisect: BisectOpts::default(),
             oracle: CutOracle::Multilevel,
             mwu_wave: 4,
-            warm_start: false,
-            prune_dominated: false,
         }
     }
 }
@@ -173,7 +153,6 @@ pub struct DecompScratch {
     stack: Vec<(usize, usize, usize)>,
     bisect: BisectScratch,
     bis_side: Vec<bool>,
-    hint_side: Vec<bool>,
 }
 
 impl DecompScratch {
@@ -230,29 +209,6 @@ pub fn build_decomp_tree_prescaled_with<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut DecompScratch,
 ) -> DecompTree {
-    build_tree_with_hint(g, scaled, node_w, opts, rng, scratch, None, None)
-}
-
-/// Core scratch builder with optional warm-start plumbing: when `hint` is
-/// a side vector over all of `V(g)` that actually splits it, the root
-/// bisection FM-polishes a copy of it under the current `scaled` weights
-/// and keeps whichever of {fresh multilevel candidate, polished hint} has
-/// the strictly smaller length-scaled cut. `root_out`, when present,
-/// receives the root side that won (tree order = node order at the root),
-/// for use as a later tree's hint. RNG consumption is identical with and
-/// without a hint, so warm-started sampling stays deterministic at every
-/// `Parallelism`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_tree_with_hint<R: Rng + ?Sized>(
-    g: &Graph,
-    scaled: &Graph,
-    node_w: &[f64],
-    opts: &DecompOpts,
-    rng: &mut R,
-    scratch: &mut DecompScratch,
-    hint: Option<&[bool]>,
-    root_out: Option<&mut Vec<bool>>,
-) -> DecompTree {
     let n = g.num_nodes();
     assert!(n >= 1, "cannot decompose the empty graph");
     assert_eq!(node_w.len(), n);
@@ -272,7 +228,6 @@ pub(crate) fn build_tree_with_hint<R: Rng + ?Sized>(
         stack,
         bisect,
         bis_side,
-        hint_side,
     } = scratch;
     members.clear();
     members.extend(0..n as u32);
@@ -280,7 +235,6 @@ pub(crate) fn build_tree_with_hint<R: Rng + ?Sized>(
     stack.push((0, 0, n));
     mark.clear();
     mark.resize(n, 0); // 0 = outside cluster, 1 = side 0, 2 = side 1
-    let mut root_out = root_out;
 
     while let Some((id, lo, hi)) = stack.pop() {
         if hi - lo == 1 {
@@ -292,43 +246,6 @@ pub(crate) fn build_tree_with_hint<R: Rng + ?Sized>(
         sub_w.clear();
         sub_w.extend(sub.map().iter().map(|v| node_w[v.index()]));
         bisect_cluster_with(sub.graph(), sub_w, opts, rng, bisect, bis_side);
-
-        if id == 0 {
-            // warm start: at the root (members are 0..n in node order, so
-            // side index == node index) compare the fresh candidate with
-            // the FM-polished hint and keep the smaller length-scaled cut
-            if let Some(h) = hint {
-                let mixed = h.len() == n && h.contains(&true) && h.contains(&false);
-                if mixed {
-                    hint_side.clear();
-                    hint_side.extend_from_slice(h);
-                    if !opts.bisect.no_refine {
-                        let total: f64 = sub_w.iter().sum();
-                        let target0 = opts.bisect.target0_frac * total;
-                        let cap0 = target0 * (1.0 + opts.bisect.eps);
-                        let cap1 = (total - target0) * (1.0 + opts.bisect.eps);
-                        fm_refine(
-                            sub.graph(),
-                            sub_w,
-                            hint_side,
-                            cap0,
-                            cap1,
-                            opts.bisect.fm_passes,
-                        );
-                    }
-                    let still_mixed = hint_side.contains(&true) && hint_side.contains(&false);
-                    if still_mixed
-                        && sub.graph().cut_weight(hint_side) < sub.graph().cut_weight(bis_side)
-                    {
-                        std::mem::swap(bis_side, hint_side);
-                    }
-                }
-            }
-            if let Some(out) = root_out.as_deref_mut() {
-                out.clear();
-                out.extend_from_slice(bis_side);
-            }
-        }
 
         // stable in-place partition: side-0 members compact to the front,
         // side-1 members go to the back, both keeping ascending order (the

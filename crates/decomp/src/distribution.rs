@@ -2,8 +2,8 @@
 //! measured congestion — the practical stand-in for Theorem 6.
 
 use crate::build::{
-    build_decomp_tree_prescaled, build_tree_with_hint, scale_graph, DecompOpts, DecompScratch,
-    DecompTree,
+    build_decomp_tree_prescaled, build_decomp_tree_prescaled_with, scale_graph, DecompOpts,
+    DecompScratch, DecompTree,
 };
 use crate::parallel::{par_map_indexed, par_map_indexed_scratch, Parallelism};
 use hgp_graph::tree::LcaIndex;
@@ -74,7 +74,7 @@ pub fn racke_distribution<R: Rng + ?Sized>(
     opts: &DecompOpts,
     rng: &mut R,
 ) -> Distribution {
-    racke_distribution_par(g, node_w, num_trees, opts, Parallelism::serial(), rng)
+    racke_distribution_par(g, node_w, num_trees, opts, Parallelism::serial(), rng, None)
 }
 
 /// Builds a distribution of `num_trees` decomposition trees, sampling up to
@@ -87,17 +87,22 @@ pub fn racke_distribution<R: Rng + ?Sized>(
 /// trees multiplies every `G` edge's length by
 /// `(1 + η · congestion/max_congestion)` (η = 0.5), in tree order; the next
 /// wave's bisections minimise length-scaled weights, steering them away
-/// from edges that previous waves stretched. Multipliers are uniform
-/// (`λᵢ = 1/p`) unless [`DecompOpts::prune_dominated`] re-weights them.
+/// from edges that previous waves stretched. The first wave starts from
+/// uniform lengths, and every sampled tree is kept at `λᵢ = 1/p`.
 ///
 /// Determinism: `rng` is consumed only to derive one seed per tree, up
 /// front; tree `i` is then built from its own `StdRng` stream. Together
 /// with the fixed wave schedule (which never depends on `par`) and the
 /// index-ordered reduction of [`par_map_indexed`], the returned
 /// distribution is **bit-identical for every `par`** — thread count is a
-/// throughput knob, never a semantic one. With the default options it is
-/// also bit-identical to [`racke_distribution_ref`], the allocating
-/// pre-scratch pipeline.
+/// throughput knob, never a semantic one. It is also bit-identical to
+/// [`racke_distribution_ref`], the allocating pre-scratch pipeline.
+///
+/// Span capture: when `sink` is attached, each MWU wave records a
+/// [`names::DECOMP_WAVE`] span (`arg` = index of the first tree in the
+/// wave) and each tree build records a [`names::DECOMP_TREE`] span (`arg`
+/// = tree index, parented on its wave). Tracing is observational only —
+/// the returned distribution is bit-identical with or without a sink.
 ///
 /// With `num_trees = 1` this degenerates to a single unscaled tree
 /// (ablation A1's control arm).
@@ -108,49 +113,6 @@ pub fn racke_distribution_par<R: Rng + ?Sized>(
     opts: &DecompOpts,
     par: Parallelism,
     rng: &mut R,
-) -> Distribution {
-    racke_distribution_traced(g, node_w, num_trees, opts, par, rng, None)
-}
-
-/// [`racke_distribution_par`] with span capture: when `sink` is attached,
-/// each MWU wave records a [`names::DECOMP_WAVE`] span (`arg` = index of
-/// the first tree in the wave) and each tree build records a
-/// [`names::DECOMP_TREE`] span (`arg` = tree index, parented on its wave).
-/// Tracing is observational only — the returned distribution is
-/// bit-identical with or without a sink, at any [`Parallelism`].
-#[allow(clippy::too_many_arguments)]
-pub fn racke_distribution_traced<R: Rng + ?Sized>(
-    g: &Graph,
-    node_w: &[f64],
-    num_trees: usize,
-    opts: &DecompOpts,
-    par: Parallelism,
-    rng: &mut R,
-    sink: Option<&TraceSink>,
-) -> Distribution {
-    racke_distribution_warm(g, node_w, num_trees, opts, par, rng, None, sink)
-}
-
-/// [`racke_distribution_traced`] with an optional warm-start distribution:
-/// when `warm` holds trees over the *same node set* (a near-miss cache hit
-/// on a weight-insensitive topology fingerprint, say), their congestion
-/// updates are replayed by [`warm_start_lengths`] to seed the MWU edge
-/// lengths, so sampling starts where the cached run left off instead of
-/// from uniform lengths. A `warm` that does not cover `g`'s nodes is
-/// ignored (cold start) — cached shapes are validated, never trusted.
-///
-/// Warm-starting changes which trees are sampled (it is the point), so the
-/// server only routes a request here when the client opted in; `warm =
-/// None` is exactly [`racke_distribution_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn racke_distribution_warm<R: Rng + ?Sized>(
-    g: &Graph,
-    node_w: &[f64],
-    num_trees: usize,
-    opts: &DecompOpts,
-    par: Parallelism,
-    rng: &mut R,
-    warm: Option<&Distribution>,
     sink: Option<&TraceSink>,
 ) -> Distribution {
     if num_trees == 0 {
@@ -162,34 +124,13 @@ pub fn racke_distribution_warm<R: Rng + ?Sized>(
     let seeds: Vec<u64> = (0..num_trees).map(|_| rng.gen()).collect();
     let wave = opts.mwu_wave.max(1);
     let mut lengths = vec![1.0f64; g.num_edges()];
-    let mut warmed = false;
-    if let Some(d) = warm {
-        if let Some(l) = warm_start_lengths(d, g) {
-            let _s = span!(
-                sink,
-                names::DECOMP_WARM,
-                parent = NO_PARENT,
-                arg = d.trees.len() as u64
-            );
-            lengths = l;
-            warmed = true;
-        }
-    }
 
     // one scratch arena per worker, reused across every wave; sized for the
     // widest wave so the per-call assert can never trip on the tail wave
     let mut scratches: Vec<DecompScratch> = (0..par.workers(wave.min(num_trees)))
         .map(|_| DecompScratch::new())
         .collect();
-    // chosen root splits, kept per tree (not per worker — work stealing may
-    // land tree i on any arena) so tree i can hint from tree i - wave
-    let mut root_sides: Vec<Vec<bool>> = if opts.warm_start {
-        vec![Vec::new(); num_trees]
-    } else {
-        Vec::new()
-    };
     let mut trees = Vec::with_capacity(num_trees);
-    let mut stats_list = Vec::with_capacity(num_trees);
     let mut scaled_buf = Graph::default();
     let mut start = 0;
     while start < num_trees {
@@ -197,8 +138,8 @@ pub fn racke_distribution_warm<R: Rng + ?Sized>(
         // every tree of a wave bisects against the same length snapshot, so
         // the length-scaled graph is written once into a reused buffer and
         // shared by the whole wave (the first wave sees all-ones lengths —
-        // the graph itself, unscaled — unless a warm start reseeded them)
-        let scaled: &Graph = if start == 0 && !warmed {
+        // the graph itself, unscaled)
+        let scaled: &Graph = if start == 0 {
             g
         } else {
             g.rescale_into(&lengths, &mut scaled_buf);
@@ -211,40 +152,17 @@ pub fn racke_distribution_warm<R: Rng + ?Sized>(
             arg = start as u64
         );
         let wave_id = wave_span.as_ref().map_or(NO_PARENT, |s| s.id());
-        let hints = &root_sides;
         let built = par_map_indexed_scratch(par, end - start, &mut scratches, |k, scratch| {
             let i = start + k;
             let _tree_span = sink.map(|s| s.span_with(names::DECOMP_TREE, wave_id, i as u64));
             let mut tree_rng = StdRng::seed_from_u64(seeds[i]);
-            let hint = if opts.warm_start && i >= wave {
-                Some(hints[i - wave].as_slice())
-            } else {
-                None
-            };
-            let mut root = Vec::new();
-            let root_out = if opts.warm_start {
-                Some(&mut root)
-            } else {
-                None
-            };
-            let dt = build_tree_with_hint(
-                g,
-                scaled,
-                node_w,
-                opts,
-                &mut tree_rng,
-                scratch,
-                hint,
-                root_out,
-            );
+            let dt =
+                build_decomp_tree_prescaled_with(g, scaled, node_w, opts, &mut tree_rng, scratch);
             let congestion = hop_congestion(&dt, g);
-            (dt, root, congestion)
+            (dt, congestion)
         });
         drop(wave_span);
-        for (k, (dt, root, (per_edge, stats))) in built.into_iter().enumerate() {
-            if opts.warm_start {
-                root_sides[start + k] = root;
-            }
+        for (dt, (per_edge, stats)) in built {
             if stats.max > 0.0 {
                 for (len, c) in lengths.iter_mut().zip(&per_edge) {
                     *len *= 1.0 + ETA * c / stats.max;
@@ -257,15 +175,11 @@ pub fn racke_distribution_warm<R: Rng + ?Sized>(
                     }
                 }
             }
-            stats_list.push(stats);
             trees.push(dt);
         }
         start = end;
     }
 
-    if opts.prune_dominated && trees.len() > 1 {
-        return prune_dominated(trees, &stats_list, sink);
-    }
     let p = trees.len();
     Distribution {
         trees,
@@ -273,107 +187,15 @@ pub fn racke_distribution_warm<R: Rng + ?Sized>(
     }
 }
 
-/// Andersen–Feige-style post-pass: drop trees whose congestion stats are
-/// strictly Pareto-dominated, re-weight survivors by
-/// `λᵢ ∝ 1 / (1 + avg-congestionᵢ)`. The Pareto-minimal set is never
-/// empty, so at least one tree always survives; exact ties dominate
-/// neither way and are all kept.
-fn prune_dominated(
-    trees: Vec<DecompTree>,
-    stats: &[CongestionStats],
-    sink: Option<&TraceSink>,
-) -> Distribution {
-    let p = trees.len();
-    let dominated: Vec<bool> = (0..p)
-        .map(|i| {
-            (0..p).any(|j| {
-                j != i
-                    && stats[j].max <= stats[i].max
-                    && stats[j].weighted_avg <= stats[i].weighted_avg
-                    && (stats[j].max < stats[i].max
-                        || stats[j].weighted_avg < stats[i].weighted_avg)
-            })
-        })
-        .collect();
-    let dropped = dominated.iter().filter(|&&d| d).count() as u64;
-    let _s = span!(sink, names::DECOMP_PRUNE, parent = NO_PARENT, arg = dropped);
-    let mut kept = Vec::with_capacity(p - dropped as usize);
-    let mut weights: Vec<f64> = Vec::with_capacity(p - dropped as usize);
-    for (i, dt) in trees.into_iter().enumerate() {
-        if !dominated[i] {
-            weights.push(1.0 / (1.0 + stats[i].weighted_avg));
-            kept.push(dt);
-        }
-    }
-    let wsum: f64 = weights.iter().sum();
-    let lambdas = weights.iter().map(|&w| w / wsum).collect();
-    Distribution {
-        trees: kept,
-        lambdas,
-    }
-}
-
-/// Replays a cached distribution's congestion updates to produce the MWU
-/// edge lengths its own sampling run would have ended with, for use as a
-/// warm start on a graph with the **same node set and edge topology** but
-/// possibly different weights.
-///
-/// Returns `None` (cold start) when the cached trees do not form leaf
-/// bijections over exactly `g`'s nodes — a cached shape is validated
-/// field by field, never trusted, since it may come from a fingerprint
-/// near-collision.
-pub fn warm_start_lengths(warm: &Distribution, g: &Graph) -> Option<Vec<f64>> {
-    let n = g.num_nodes();
-    if warm.trees.is_empty() || n == 0 {
-        return None;
-    }
-    let mut covered = vec![false; n];
-    for t in &warm.trees {
-        covered.iter_mut().for_each(|c| *c = false);
-        let mut seen = 0usize;
-        for &task in &t.task_of_leaf {
-            if task == u32::MAX {
-                continue; // internal node
-            }
-            let task = task as usize;
-            if task >= n || covered[task] {
-                return None;
-            }
-            covered[task] = true;
-            seen += 1;
-        }
-        if seen != n {
-            return None;
-        }
-    }
-    let mut lengths = vec![1.0f64; g.num_edges()];
-    for t in &warm.trees {
-        let (per_edge, stats) = hop_congestion(t, g);
-        if stats.max > 0.0 {
-            for (len, c) in lengths.iter_mut().zip(&per_edge) {
-                *len *= 1.0 + ETA * c / stats.max;
-            }
-            let mean: f64 = lengths.iter().sum::<f64>() / lengths.len() as f64;
-            if mean > 0.0 {
-                for len in lengths.iter_mut() {
-                    *len /= mean;
-                }
-            }
-        }
-    }
-    Some(lengths)
-}
-
 /// The allocating pre-scratch sampling pipeline, kept verbatim as the
 /// reference arm: every wave rebuilds the scaled graph through a fresh
 /// [`GraphBuilder`](hgp_graph::GraphBuilder) and every tree build allocates
-/// its own buffers. Ignores [`DecompOpts::warm_start`] and
-/// [`DecompOpts::prune_dominated`] (it predates them).
+/// its own buffers.
 ///
-/// With those options off, [`racke_distribution_par`] is **bit-identical**
-/// to this function — pinned by the `scratch_reuse_is_bit_identical_…`
-/// property test — and `bench_solver`'s before/after distribution arm
-/// times the two against each other.
+/// [`racke_distribution_par`] is **bit-identical** to this function —
+/// pinned by the `scratch_reuse_is_bit_identical_…` property test — and
+/// `bench_solver`'s before/after distribution arm times the two against
+/// each other.
 pub fn racke_distribution_ref<R: Rng + ?Sized>(
     g: &Graph,
     node_w: &[f64],
@@ -591,7 +413,7 @@ mod tests {
         let opts = DecompOpts::default();
         let build = |par: Parallelism| {
             let mut r = StdRng::seed_from_u64(99);
-            racke_distribution_par(&g, &[1.0; 30], 6, &opts, par, &mut r)
+            racke_distribution_par(&g, &[1.0; 30], 6, &opts, par, &mut r, None)
         };
         let serial = build(Parallelism::serial());
         for par in [
@@ -625,8 +447,15 @@ mod tests {
                     racke_distribution_ref(&g, &w, 6, &opts, Parallelism::serial(), &mut r_ref);
                 for width in [1usize, 2, 3] {
                     let mut r = StdRng::seed_from_u64(seed);
-                    let got =
-                        racke_distribution_par(&g, &w, 6, &opts, Parallelism::Fixed(width), &mut r);
+                    let got = racke_distribution_par(
+                        &g,
+                        &w,
+                        6,
+                        &opts,
+                        Parallelism::Fixed(width),
+                        &mut r,
+                        None,
+                    );
                     assert_distributions_bit_identical(&got, &want);
                     // and the caller-visible RNG must be in the same state
                     assert_eq!(r.gen::<u64>(), {
@@ -636,115 +465,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn warm_start_is_deterministic_across_widths() {
-        // warm_start changes the sampled trees (opt-in), but never lets
-        // thread count leak into the result
-        let mut rng = StdRng::seed_from_u64(41);
-        let g = generators::gnp_connected(&mut rng, 28, 0.25, 0.5, 2.0);
-        let opts = DecompOpts {
-            warm_start: true,
-            mwu_wave: 2,
-            ..Default::default()
-        };
-        let build = |par: Parallelism| {
-            let mut r = StdRng::seed_from_u64(5);
-            racke_distribution_par(&g, &[1.0; 28], 6, &opts, par, &mut r)
-        };
-        let serial = build(Parallelism::serial());
-        for par in [Parallelism::Fixed(2), Parallelism::Fixed(4)] {
-            assert_distributions_bit_identical(&build(par), &serial);
-        }
-    }
-
-    #[test]
-    fn prune_keeps_a_valid_reweighted_distribution() {
-        let mut rng = StdRng::seed_from_u64(51);
-        let g = generators::gnp_connected(&mut rng, 26, 0.3, 0.5, 2.0);
-        let opts = DecompOpts {
-            prune_dominated: true,
-            ..Default::default()
-        };
-        let mut r = StdRng::seed_from_u64(6);
-        let d = racke_distribution(&g, &[1.0; 26], 6, &opts, &mut r);
-        assert!(!d.trees.is_empty() && d.trees.len() <= 6);
-        assert_eq!(d.trees.len(), d.lambdas.len());
-        assert!((d.lambdas.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(d.lambdas.iter().all(|&l| l > 0.0));
-        // no kept tree's stats may be strictly dominated by another kept one
-        let stats: Vec<CongestionStats> = d.trees.iter().map(|t| hop_congestion(t, &g).1).collect();
-        for i in 0..stats.len() {
-            for j in 0..stats.len() {
-                if i != j {
-                    let dom = stats[j].max <= stats[i].max
-                        && stats[j].weighted_avg <= stats[i].weighted_avg
-                        && (stats[j].max < stats[i].max
-                            || stats[j].weighted_avg < stats[i].weighted_avg);
-                    assert!(!dom, "kept tree {i} is dominated by kept tree {j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn warm_start_lengths_validates_the_cached_shape() {
-        let mut rng = StdRng::seed_from_u64(61);
-        let g = generators::gnp_connected(&mut rng, 20, 0.25, 0.5, 2.0);
-        let other = generators::gnp_connected(&mut rng, 12, 0.4, 0.5, 2.0);
-        let mut r = StdRng::seed_from_u64(7);
-        let d = racke_distribution(&g, &[1.0; 20], 3, &DecompOpts::default(), &mut r);
-        // same node set: accepted, one length per edge, all positive
-        let l = warm_start_lengths(&d, &g).expect("matching shape must warm-start");
-        assert_eq!(l.len(), g.num_edges());
-        assert!(l.iter().all(|&x| x > 0.0));
-        // different node count: rejected, cold start
-        assert!(warm_start_lengths(&d, &other).is_none());
-        // empty distribution: rejected
-        let empty = Distribution {
-            trees: Vec::new(),
-            lambdas: Vec::new(),
-        };
-        assert!(warm_start_lengths(&empty, &g).is_none());
-    }
-
-    #[test]
-    fn warm_started_sampling_stays_bit_identical_across_widths() {
-        // near-hit path: seeding lengths from a cached distribution is a
-        // semantic change, but still deterministic at every width
-        let mut rng = StdRng::seed_from_u64(71);
-        let g = generators::gnp_connected(&mut rng, 24, 0.25, 0.5, 2.0);
-        let w = vec![1.0; 24];
-        let mut r0 = StdRng::seed_from_u64(8);
-        let cached = racke_distribution(&g, &w, 4, &DecompOpts::default(), &mut r0);
-        let build = |par: Parallelism| {
-            let mut r = StdRng::seed_from_u64(9);
-            racke_distribution_warm(
-                &g,
-                &w,
-                4,
-                &DecompOpts::default(),
-                par,
-                &mut r,
-                Some(&cached),
-                None,
-            )
-        };
-        let serial = build(Parallelism::serial());
-        for par in [Parallelism::Fixed(2), Parallelism::Fixed(3)] {
-            assert_distributions_bit_identical(&build(par), &serial);
-        }
-        // and it genuinely warm-starts: wave 0 bisects a rescaled graph, so
-        // the result differs from the cold run with the same RNG seed
-        let mut r = StdRng::seed_from_u64(9);
-        let cold = racke_distribution(&g, &w, 4, &DecompOpts::default(), &mut r);
-        let same = serial.trees.iter().zip(&cold.trees).all(|(a, b)| {
-            a.task_of_leaf == b.task_of_leaf
-                && (0..a.tree.num_nodes().min(b.tree.num_nodes()))
-                    .all(|v| a.tree.children(v) == b.tree.children(v))
-        });
-        assert!(!same, "warm start had no effect on sampling");
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub use build::{
 };
 pub use distribution::{
     hop_congestion, racke_distribution, racke_distribution_par, racke_distribution_ref,
-    racke_distribution_traced, racke_distribution_warm, warm_start_lengths, CongestionStats,
-    Distribution,
+    CongestionStats, Distribution,
 };
 pub use parallel::{par_map_indexed, par_map_indexed_scratch, Parallelism};

@@ -88,7 +88,7 @@ impl Parallelism {
 /// boundaries rely on this to convert worker faults into their typed
 /// `HgpError::Internal` taxonomy instead of an opaque "poisoned lock".
 /// Callers that need per-job fault isolation catch inside `f` — see
-/// `solve_on_distribution` in `hgp-core`.
+/// `Solve::run_on` in `hgp-core`.
 pub fn par_map_indexed<T, F>(par: Parallelism, n: usize, f: F) -> Vec<T>
 where
     T: Send,

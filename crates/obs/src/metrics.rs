@@ -6,7 +6,8 @@
 //! guards only registration and snapshot rendering, both off the hot
 //! path. Histograms use fixed power-of-two buckets — bucket `b` holds
 //! values in `[2^(b-1), 2^b)`, with 0 and 1 sharing bucket 1 — which is
-//! coarse but monotone: quantiles come back as bucket upper bounds.
+//! coarse but monotone: quantiles come back as bucket upper bounds, clamped
+//! to the largest observation so no quantile ever exceeds the maximum.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -102,7 +103,8 @@ impl Histogram {
     /// Bucket index for a value: bucket `b` holds `[2^(b-1), 2^b)`, so
     /// `b = floor(log2(v)) + 1`. Zero shares bucket 1 with one, and
     /// everything ≥ 2^62 is clamped into the last bucket. Quantiles
-    /// report `2^b`, the bucket's exclusive upper bound.
+    /// report `2^b`, the bucket's exclusive upper bound, capped at
+    /// [`Histogram::max`].
     pub fn bucket_of(value: u64) -> usize {
         (64 - value.max(1).leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1)
     }
@@ -123,8 +125,10 @@ impl Histogram {
         self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile, or 0 on an
-    /// empty histogram. `q` in `[0, 1]`.
+    /// Upper bound of the bucket containing the `q`-quantile, capped at
+    /// the largest observation, or 0 on an empty histogram. `q` in
+    /// `[0, 1]`. Monotone in `q`: the bucket bound is, and the cap is the
+    /// same for every `q`.
     pub fn quantile(&self, q: f64) -> u64 {
         let snapshot: Vec<u64> = self
             .counts
@@ -137,13 +141,15 @@ impl Histogram {
         }
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
+        let mut bound = 1u64 << (HISTOGRAM_BUCKETS - 1);
         for (b, &c) in snapshot.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return 1u64 << b;
+                bound = 1u64 << b;
+                break;
             }
         }
-        1u64 << (HISTOGRAM_BUCKETS - 1)
+        bound.min(self.max())
     }
 
     /// Largest observation.
@@ -293,6 +299,17 @@ mod tests {
     }
 
     #[test]
+    fn quantiles_never_exceed_the_recorded_max() {
+        // 2931 sits in bucket [2048, 4096): the bucket bound alone would
+        // report p50 = 4096 above max = 2931
+        let h = Histogram::new();
+        h.record(2931);
+        assert_eq!(h.quantile(0.5), 2931);
+        assert_eq!(h.quantile(0.99), 2931);
+        assert_eq!(h.max(), 2931);
+    }
+
+    #[test]
     fn empty_histogram_reports_zero() {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
@@ -323,11 +340,12 @@ mod tests {
         g.set(2);
         h.record(100);
         let line = reg.render(2);
+        // one observation: the bucket bound 128 is capped at the max
         assert!(
             line.starts_with("version=2 req.lines=3 sessions.open=2"),
             "{line}"
         );
-        assert!(line.contains("solve.latency-us-p50=128"), "{line}");
+        assert!(line.contains("solve.latency-us-p50=100"), "{line}");
         assert!(line.contains("solve.latency-us-count=1"), "{line}");
     }
 

@@ -40,13 +40,3 @@ pub const DECOMP_WAVE: &str = "decomp.wave";
 /// One decomposition-tree build inside a wave (`arg` = tree index,
 /// parented on its [`DECOMP_WAVE`] span).
 pub const DECOMP_TREE: &str = "decomp.tree";
-
-/// Andersen–Feige re-weight/prune post-pass over the sampled distribution
-/// (`arg` = number of trees dropped as congestion-dominated). Emitted only
-/// when `DecompOpts::prune_dominated` is on.
-pub const DECOMP_PRUNE: &str = "decomp.prune";
-
-/// MWU length warm-start replay from a cached near-miss distribution
-/// (`arg` = number of cached trees replayed). Emitted only on the server's
-/// `cache.near-hits` path.
-pub const DECOMP_WARM: &str = "decomp.warm";

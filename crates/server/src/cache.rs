@@ -14,14 +14,6 @@
 //! past a constant factor of the entry count — so both `get` and `insert`
 //! stay `O(log n)` amortised under the lock, where the old implementation
 //! scanned all `capacity` entries on every eviction.
-//!
-//! Beyond exact lookups the cache keeps a *similarity tier*: a secondary
-//! index from the weight-insensitive
-//! [`topology_fingerprint`](hgp_core::fingerprint::topology_fingerprint)
-//! to the primary keys sharing that topology. A request whose exact key
-//! misses can ask [`DecompCache::get_near`] for the most recently used
-//! distribution of a topologically identical graph and warm-start its MWU
-//! sampling from it (`near=1` on the wire; `cache.near-hits` in `stats2`).
 
 use hgp_decomp::Distribution;
 use parking_lot::Mutex;
@@ -38,17 +30,11 @@ struct Entry {
     dist: Arc<Distribution>,
     /// Logical timestamp of last access (monotone per cache).
     stamp: u64,
-    /// Weight-insensitive topology fingerprint, for the similarity tier.
-    topo: u64,
 }
 
 /// Map plus recency index, guarded by one lock.
 struct Inner {
     map: HashMap<u64, Entry>,
-    /// Secondary index: topology fingerprint → live primary keys sharing
-    /// it. Maintained eagerly (inserts append, evictions remove), so a
-    /// key listed here is always live in `map`.
-    topo_index: HashMap<u64, Vec<u64>>,
     /// Min-heap of `(stamp, key)`; a pair is live iff `map[key].stamp`
     /// equals its stamp (lazy deletion).
     order: BinaryHeap<Reverse<(u64, u64)>>,
@@ -75,29 +61,15 @@ impl Inner {
         }
     }
 
-    /// Removes the least-recently-used live entry, keeping the topology
-    /// index in sync.
+    /// Removes the least-recently-used live entry.
     fn evict_one(&mut self) {
         while let Some(Reverse((stamp, key))) = self.order.pop() {
             match self.map.get(&key) {
                 Some(e) if e.stamp == stamp => {
-                    let topo = e.topo;
                     self.map.remove(&key);
-                    self.unindex(topo, key);
                     return;
                 }
                 _ => continue, // stale pair: the key was touched again
-            }
-        }
-    }
-
-    /// Drops `key` from its topology bucket (and the bucket itself once
-    /// empty) so the similarity tier never points at evicted entries.
-    fn unindex(&mut self, topo: u64, key: u64) {
-        if let Some(keys) = self.topo_index.get_mut(&topo) {
-            keys.retain(|&k| k != key);
-            if keys.is_empty() {
-                self.topo_index.remove(&topo);
             }
         }
     }
@@ -110,7 +82,6 @@ pub struct DecompCache {
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    near_hits: AtomicU64,
 }
 
 impl DecompCache {
@@ -120,14 +91,12 @@ impl DecompCache {
         Self {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                topo_index: HashMap::new(),
                 order: BinaryHeap::new(),
                 clock: 0,
             }),
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            near_hits: AtomicU64::new(0),
         }
     }
 
@@ -166,39 +135,17 @@ impl DecompCache {
         }
     }
 
-    /// Looks up the most recently used distribution for a topologically
-    /// identical graph (`topo` is the weight-insensitive
-    /// `topology_fingerprint`), without refreshing its exact-key recency —
-    /// a near hit warm-starts a *different* request's build, it is not a
-    /// reuse of this entry. Counted in [`DecompCache::near_hits`];
-    /// near misses are already covered by the exact-key miss counter.
-    pub fn get_near(&self, topo: u64) -> Option<Arc<Distribution>> {
-        let inner = self.inner.lock();
-        let best = inner
-            .topo_index
-            .get(&topo)?
-            .iter()
-            .filter_map(|k| inner.map.get(k))
-            .max_by_key(|e| e.stamp)?;
-        let dist = Arc::clone(&best.dist);
-        drop(inner);
-        self.near_hits.fetch_add(1, Ordering::Relaxed);
-        Some(dist)
-    }
-
     /// Inserts `dist` under `key`, evicting the least-recently-used entry
-    /// if the cache is full. `topo` is the graph's weight-insensitive
-    /// `topology_fingerprint`, feeding the [`DecompCache::get_near`]
-    /// similarity tier.
+    /// if the cache is full.
     ///
     /// Racing inserts of the same key are idempotent: the incumbent entry
     /// is kept and only its recency is refreshed (both values are
     /// equivalent by construction since the key fingerprints every input
     /// of the build). Replacing it instead — the old last-writer-wins
-    /// semantics — would strand the loser's pair in the lazy-deletion heap
-    /// and duplicate its key in the topology bucket, so a duplicate-heavy
-    /// workload could grow both past the live-entry bound.
-    pub fn insert(&self, key: u64, topo: u64, dist: Arc<Distribution>) {
+    /// semantics — would strand the loser's pair in the lazy-deletion heap,
+    /// so a duplicate-heavy workload could grow it past the live-entry
+    /// bound.
+    pub fn insert(&self, key: u64, dist: Arc<Distribution>) {
         if self.capacity == 0 {
             return;
         }
@@ -214,8 +161,7 @@ impl DecompCache {
             inner.evict_one();
         }
         let stamp = inner.touch(key);
-        inner.map.insert(key, Entry { dist, stamp, topo });
-        inner.topo_index.entry(topo).or_default().push(key);
+        inner.map.insert(key, Entry { dist, stamp });
         inner.maybe_compact();
     }
 
@@ -227,12 +173,6 @@ impl DecompCache {
     /// Miss count since construction.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Similarity-tier hits (`get_near` lookups that found a
-    /// topologically identical distribution) since construction.
-    pub fn near_hits(&self) -> u64 {
-        self.near_hits.load(Ordering::Relaxed)
     }
 
     /// Entries currently cached.
@@ -266,7 +206,7 @@ mod tests {
     fn hit_miss_accounting() {
         let c = DecompCache::new(4);
         assert!(c.get(1).is_none());
-        c.insert(1, 0, dist());
+        c.insert(1, dist());
         assert!(c.get(1).is_some());
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
@@ -276,10 +216,10 @@ mod tests {
     fn evicts_least_recently_used() {
         let c = DecompCache::new(2);
         let d = dist();
-        c.insert(1, 0, Arc::clone(&d));
-        c.insert(2, 0, Arc::clone(&d));
+        c.insert(1, Arc::clone(&d));
+        c.insert(2, Arc::clone(&d));
         assert!(c.get(1).is_some()); // refresh 1 → 2 is now LRU
-        c.insert(3, 0, d);
+        c.insert(3, d);
         assert_eq!(c.len(), 2);
         assert!(c.get(1).is_some());
         assert!(c.get(2).is_none(), "LRU entry should have been evicted");
@@ -289,36 +229,9 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let c = DecompCache::new(0);
-        c.insert(1, 0, dist());
+        c.insert(1, dist());
         assert!(c.get(1).is_none());
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn near_hits_serve_topology_twins_and_respect_eviction() {
-        let c = DecompCache::new(2);
-        let d = dist();
-        c.insert(1, 100, Arc::clone(&d));
-        assert!(c.get_near(999).is_none(), "unknown topology");
-        assert_eq!(c.near_hits(), 0);
-        let near = c.get_near(100).expect("topology twin cached");
-        assert!(Arc::ptr_eq(&near, &d));
-        assert_eq!(c.near_hits(), 1);
-
-        // among several entries with the same topology, the most recently
-        // used one is served
-        let d2 = dist();
-        c.insert(2, 100, Arc::clone(&d2));
-        assert!(c.get(1).is_some()); // 1 now more recent than 2
-        let near = c.get_near(100).unwrap();
-        assert!(Arc::ptr_eq(&near, &d), "most recent twin wins");
-
-        // eviction cleans the index: push both topo-100 entries out
-        c.insert(3, 300, Arc::clone(&d));
-        c.insert(4, 300, Arc::clone(&d));
-        assert_eq!(c.len(), 2);
-        assert!(c.get_near(100).is_none(), "evicted topology must unindex");
-        assert!(c.get_near(300).is_some());
     }
 
     #[test]
@@ -326,17 +239,17 @@ mod tests {
         let c = DecompCache::new(2);
         let first = dist();
         let second = dist();
-        c.insert(1, 7, Arc::clone(&first));
-        c.insert(2, 7, Arc::clone(&second));
+        c.insert(1, Arc::clone(&first));
+        c.insert(2, Arc::clone(&second));
         // racing duplicate: the incumbent value survives...
-        c.insert(1, 7, Arc::clone(&second));
+        c.insert(1, Arc::clone(&second));
         let got = c.get(1).unwrap();
         assert!(
             Arc::ptr_eq(&got, &first),
             "incumbent must win duplicate race"
         );
         // ...and key 1 was refreshed twice, so 2 is the LRU entry
-        c.insert(3, 9, second);
+        c.insert(3, second);
         assert_eq!(c.len(), 2);
         assert!(c.get(2).is_none(), "2 was LRU and must be evicted");
         assert!(c.get(1).is_some() && c.get(3).is_some());
@@ -345,8 +258,7 @@ mod tests {
     #[test]
     fn concurrent_insert_get_hammer_never_exceeds_capacity() {
         // satellite regression: 8 threads race inserts (duplicate keys
-        // included) and lookups; the cache must never exceed capacity and
-        // the topology index must never serve a dangling key
+        // included) and lookups; the cache must never exceed capacity
         const CAP: usize = 4;
         let c = Arc::new(DecompCache::new(CAP));
         let d = dist();
@@ -357,10 +269,9 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200 {
                         let key = ((t + i) % 16) as u64;
-                        c.insert(key, key % 4, Arc::clone(&d));
+                        c.insert(key, Arc::clone(&d));
                         assert!(c.len() <= CAP, "cache grew past capacity");
                         let _ = c.get((i % 16) as u64);
-                        let _ = c.get_near((i % 4) as u64);
                     }
                 });
             }
@@ -375,33 +286,33 @@ mod tests {
         // many stale pairs; eviction must still pick the true LRU entry.
         let c = DecompCache::new(3);
         let d = dist();
-        c.insert(1, 0, Arc::clone(&d));
-        c.insert(2, 0, Arc::clone(&d));
-        c.insert(3, 0, Arc::clone(&d));
+        c.insert(1, Arc::clone(&d));
+        c.insert(2, Arc::clone(&d));
+        c.insert(3, Arc::clone(&d));
         // recency now 1 < 2 < 3; touch 1 and 2 many times, interleaved
         for _ in 0..50 {
             assert!(c.get(1).is_some());
             assert!(c.get(2).is_some());
         }
         // 3 is the LRU despite being inserted last
-        c.insert(4, 0, Arc::clone(&d));
+        c.insert(4, Arc::clone(&d));
         assert_eq!(c.len(), 3);
         assert!(c.get(3).is_none(), "3 was LRU and must be evicted");
         assert!(c.get(1).is_some() && c.get(2).is_some() && c.get(4).is_some());
 
         // re-inserting an existing key refreshes it rather than evicting
-        c.insert(1, 0, Arc::clone(&d));
+        c.insert(1, Arc::clone(&d));
         assert_eq!(c.len(), 3);
         // now 2 is LRU (last touched before 4 and the re-insert of 1)...
         assert!(c.get(4).is_some());
         assert!(c.get(1).is_some());
-        c.insert(5, 0, Arc::clone(&d));
+        c.insert(5, Arc::clone(&d));
         assert!(c.get(2).is_none(), "2 was LRU and must be evicted");
 
         // a long churn keeps the cache exactly at capacity with the
         // expected survivors
         for k in 10..200 {
-            c.insert(k, 0, Arc::clone(&d));
+            c.insert(k, Arc::clone(&d));
             assert!(c.len() <= 3);
         }
         assert!(c.get(199).is_some());

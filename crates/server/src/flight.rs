@@ -12,12 +12,10 @@
 //!
 //! Followers may only reuse the leader's value when that value is a
 //! pure function of the key. The distribution fingerprint covers every
-//! input of the cold-start build (graph, weights, trees, seed, MWU
-//! knobs), so the leader's build is bit-identical to the build each
-//! follower would have performed — coalescing changes *when* work
-//! happens, never *what* the answer is. Warm-started (`near=1`) builds
-//! depend on cache state and are therefore never routed through a
-//! flight (see `pool.rs`).
+//! input of the build (graph, weights, trees, seed, MWU knobs), so the
+//! leader's build is bit-identical to the build each follower would have
+//! performed — coalescing changes *when* work happens, never *what* the
+//! answer is.
 //!
 //! # Panic safety
 //!

@@ -56,14 +56,9 @@ pub struct Metrics {
     /// Decomposition-cache misses, mirrored like `cache_hits`.
     /// Wire: `cache.misses`.
     cache_misses: Arc<Gauge>,
-    /// Similarity-tier cache hits (a topology twin warm-started the
-    /// build), mirrored like `cache_hits`. `stats2`-only — the legacy
-    /// `stats` reply predates the tier and stays byte-compatible.
-    /// Wire: `cache.near-hits`.
-    cache_near_hits: Arc<Gauge>,
-    /// Distribution builds actually executed (cold or warm). Unlike
-    /// `cache.misses` — which counts *lookups* that missed — this counts
-    /// the expensive `build_distribution` calls themselves, so
+    /// Distribution builds actually executed. Unlike `cache.misses` —
+    /// which counts *lookups* that missed — this counts the expensive
+    /// `Solve::distribution` calls themselves, so
     /// `misses − builds` is the work single-flight coalescing saved.
     /// `stats2`-only. Wire: `cache.builds`.
     pub cache_builds: Arc<Counter>,
@@ -124,7 +119,6 @@ impl Metrics {
         let solve_panics = registry.counter("pool.solve-panics");
         let cache_hits = registry.gauge("cache.hits");
         let cache_misses = registry.gauge("cache.misses");
-        let cache_near_hits = registry.gauge("cache.near-hits");
         let cache_builds = registry.counter("cache.builds");
         let cache_coalesced = registry.counter("cache.coalesced");
         let pool_busy_us = registry.counter("pool.busy-us");
@@ -149,7 +143,6 @@ impl Metrics {
             solve_panics,
             cache_hits,
             cache_misses,
-            cache_near_hits,
             cache_builds,
             cache_coalesced,
             pool_busy_us,
@@ -193,10 +186,9 @@ impl Metrics {
     /// Renders the versioned `stats2` reply body: `version=2` followed by
     /// every registered metric in registration order, histograms expanded
     /// to `-p50`/`-p99`/`-max`/`-count` tokens.
-    pub fn stats2_line(&self, cache_hits: u64, cache_misses: u64, cache_near_hits: u64) -> String {
+    pub fn stats2_line(&self, cache_hits: u64, cache_misses: u64) -> String {
         self.cache_hits.set(cache_hits);
         self.cache_misses.set(cache_misses);
-        self.cache_near_hits.set(cache_near_hits);
         self.registry.render(2)
     }
 }
@@ -272,13 +264,12 @@ mod tests {
         m.session_mutations.add(4);
         m.session_warm_solves.inc();
         m.session_moves.add(9);
-        let line = m.stats2_line(5, 2, 3);
+        let line = m.stats2_line(5, 2);
         assert!(line.starts_with("version=2 req.lines=1"), "{line}");
         for tok in [
             "solve.ok=1",
             "cache.hits=5",
             "cache.misses=2",
-            "cache.near-hits=3",
             "cache.builds=1",
             "cache.coalesced=1",
             "pool.busy-us=250",
@@ -286,9 +277,10 @@ mod tests {
             "session.mutations=4",
             "session.warm-solves=1",
             "session.moves=9",
-            "solve.latency-us-p50=128",
+            // single observations: the quantile is capped at the max
+            "solve.latency-us-p50=100",
             "solve.latency-us-count=1",
-            "queue.wait-us-p50=8",
+            "queue.wait-us-p50=7",
             "queue.wait-us-count=1",
         ] {
             assert!(line.contains(tok), "missing {tok}: {line}");
@@ -298,14 +290,14 @@ mod tests {
     #[test]
     fn legacy_stats_omits_post_v1_keys() {
         // the frozen v1 reply must not grow tokens for metrics added after
-        // the freeze (near tier, coalescing, utilization, connections)
+        // the freeze (coalescing, utilization, connections)
         let m = Metrics::new();
         m.cache_builds.inc();
         m.cache_coalesced.inc();
         m.pool_busy_us.add(9);
         m.conns_open.set(3);
         let line = m.stats_line(0, 0);
-        for tok in ["near", "coalesced", "busy", "conns"] {
+        for tok in ["coalesced", "busy", "conns"] {
             assert!(!line.contains(tok), "v1 stats must stay frozen: {line}");
         }
     }
@@ -319,7 +311,7 @@ mod tests {
         m.solve_degraded.inc();
         m.workers_alive.set(4);
         let v1 = m.stats_line(9, 9);
-        let v2 = m.stats2_line(9, 9, 0);
+        let v2 = m.stats2_line(9, 9);
         assert!(v1.contains("requests=3") && v2.contains("req.lines=3"));
         assert!(v1.contains("solve-degraded=1") && v2.contains("solve.degraded=1"));
         assert!(v1.contains("workers-alive=4") && v2.contains("pool.workers-alive=4"));

@@ -30,18 +30,17 @@
 //!
 //! # Single-flight coalescing
 //!
-//! Cold-start distribution builds are deduplicated through a
+//! Distribution builds are deduplicated through a
 //! [`FlightGroup`] keyed by `distribution_fingerprint`: when N concurrent
 //! solves share a fingerprint, one worker (the leader) runs
-//! `build_distribution` while the rest park as followers and reuse the
+//! `Solve::distribution` while the rest park as followers and reuse the
 //! leader's `Arc<Distribution>` (reply `cache=shared`, counted in
 //! `cache.coalesced`). Because the fingerprint covers every input of the
-//! cold build, the shared distribution is bit-identical to what each
-//! follower would have built — determinism is preserved. Warm-started
-//! `near=1` builds depend on cache state and never enter a flight. A
-//! leader that panics unparks its followers with `err internal` via the
-//! flight's poison-on-drop guard; a follower whose deadline expires while
-//! parked degrades to the baseline path like any other blown deadline.
+//! build, the shared distribution is bit-identical to what each follower
+//! would have built — determinism is preserved. A leader that panics
+//! unparks its followers with `err internal` via the flight's
+//! poison-on-drop guard; a follower whose deadline expires while parked
+//! degrades to the baseline path like any other blown deadline.
 
 use crate::cache::DecompCache;
 use crate::flight::{FlightError, FlightGroup, FollowerOutcome, Ticket};
@@ -49,7 +48,7 @@ use crate::metrics::Metrics;
 use crate::protocol::{ErrCode, SolveSpec, WireError};
 use hgp_baselines::kway::{kway_partition, KwayOpts};
 use hgp_baselines::refine::{refine, RefineOpts};
-use hgp_core::fingerprint::{distribution_fingerprint, topology_fingerprint};
+use hgp_core::fingerprint::distribution_fingerprint;
 use hgp_core::solver::SolverOptions;
 use hgp_core::tree_solver::solve_rooted_with;
 use hgp_core::{
@@ -379,7 +378,6 @@ fn cold_distribution(
     inst: &hgp_core::Instance,
     opts: &SolverOptions,
     key: u64,
-    topo: u64,
     cache_status: &mut &'static str,
 ) -> Result<Option<Arc<Distribution>>, WireError> {
     match ctx.flights.join(key) {
@@ -407,7 +405,7 @@ fn cold_distribution(
             {
                 Ok(built) => {
                     let d = Arc::new(built);
-                    ctx.cache.insert(key, topo, Arc::clone(&d));
+                    ctx.cache.insert(key, Arc::clone(&d));
                     guard.publish(Ok(Arc::clone(&d)));
                     Ok(Some(d))
                 }
@@ -480,48 +478,15 @@ fn solve_inner(
 
     if !expired(job.deadline) {
         let key = distribution_fingerprint(&inst, &opts);
-        let topo = topology_fingerprint(inst.graph());
         let dist_start = Instant::now();
         let dist = match ctx.cache.get(key) {
             Some(d) => {
                 cache_status = "hit";
                 Some(d)
             }
-            None => {
-                // similarity tier (opt-in): a cached distribution for a
-                // topologically identical graph warm-starts the MWU
-                // sampling. The result depends on cache state, so it is
-                // NOT inserted — the exact key must keep meaning "the
-                // cold-start build for these inputs" for near=0 requests
-                // — and never coalesced: followers may only share a value
-                // that is a pure function of the fingerprint.
-                let warm = if spec.near {
-                    ctx.cache.get_near(topo)
-                } else {
-                    None
-                };
-                match warm {
-                    Some(w) => {
-                        cache_status = "near";
-                        ctx.metrics.cache_builds.inc();
-                        let built = Solve::new(&inst, h)
-                            .options(opts)
-                            .distribution_warm(&w)
-                            .map_err(|e| {
-                                WireError::new(
-                                    ErrCode::SolveFailed,
-                                    format!("decomposition failed: {e}"),
-                                )
-                            })?;
-                        Some(Arc::new(built))
-                    }
-                    None => {
-                        // cold build: single-flight so concurrent
-                        // same-fingerprint requests share one build
-                        cold_distribution(job, ctx, &inst, &opts, key, topo, &mut cache_status)?
-                    }
-                }
-            }
+            // cold build: single-flight so concurrent same-fingerprint
+            // requests share one build
+            None => cold_distribution(job, ctx, &inst, &opts, key, &mut cache_status)?,
         };
         dist_nanos = dist_start.elapsed().as_nanos() as u64;
         if let Some(dist) = dist {
@@ -760,38 +725,6 @@ mod tests {
         };
         assert_eq!(cost(&a), cost(&b));
         assert_eq!(metrics.solve_ok.get(), 2);
-    }
-
-    #[test]
-    fn near_flag_warm_starts_from_a_topology_twin() {
-        let (pool, cache, _metrics) = pool();
-        // same topology, different edge weights → different exact keys
-        let heavy = "solve graph=edges:4:0-1:1.0,1-2:1.0,2-3:1.0,0-3:1.0 \
-                     machine=2x2:4,1,0 demand=0.4 trees=4 seed=7";
-        let light = "solve graph=edges:4:0-1:2.0,1-2:0.5,2-3:2.0,0-3:0.5 \
-                     machine=2x2:4,1,0 demand=0.4 trees=4 seed=7";
-        let a = run(&pool, solve_spec(heavy), None);
-        assert!(a.contains("cache=miss"), "{a}");
-        // without near=1 a reweighted twin is a plain miss
-        let b = run(&pool, solve_spec(light), None);
-        assert!(b.contains("cache=miss"), "{b}");
-        assert_eq!(cache.near_hits(), 0);
-        // with near=1 and a fresh exact key the twin warm-starts the build
-        let near_line = format!(
-            "solve graph=edges:4:0-1:2.0,1-2:0.5,2-3:2.0,0-3:0.5 \
-             machine=2x2:4,1,0 demand=0.4 trees=4 seed=8 near=1"
-        );
-        let c = run(&pool, solve_spec(&near_line), None);
-        assert!(c.starts_with("ok "), "{c}");
-        assert!(c.contains("cache=near"), "{c}");
-        assert!(c.contains("mode=full"), "{c}");
-        assert_eq!(cache.near_hits(), 1);
-        // warm-built distributions are cache-state-dependent and must not
-        // be stored under the exact key: re-running the near request still
-        // reports a near hit, not an exact one
-        let d = run(&pool, solve_spec(&near_line), None);
-        assert!(d.contains("cache=near"), "{d}");
-        assert_eq!(cache.near_hits(), 2);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! solve graph=<spec> machine=<desc> [demand=<f>] [demands=<f,..>]
 //!       [units=<u>] [trees=<p>] [seed=<s>] [deadline-ms=<d>]
 //!       [refine=0|1] [assignment=0|1] [trace=0|1] [multilevel=0|1]
-//!       [near=0|1]
 //! place-incremental new machine=<desc>
 //! place-incremental add session=<id> demand=<f> [nbrs=<t>:<w>,..]
 //! place-incremental remove session=<id> task=<t>
@@ -394,13 +393,6 @@ pub struct SolveSpec {
     /// Route the solve through the multilevel V-cycle (coarsen → exact
     /// core → refine) instead of the flat distribution sweep.
     pub multilevel: bool,
-    /// On an exact distribution-cache miss, accept a *near* hit: warm-start
-    /// the MWU sampling from a cached distribution of a topologically
-    /// identical graph (same node set and edge endpoints, weights free).
-    /// Opt-in because the result then depends on cache state, trading the
-    /// exact-key path's bit-reproducibility for faster convergence; the
-    /// reply reports `cache=near` when taken.
-    pub near: bool,
 }
 
 impl SolveSpec {
@@ -606,7 +598,6 @@ impl Request {
         let mut want_assignment = false;
         let mut trace = false;
         let mut multilevel = false;
-        let mut near = false;
         for tok in toks {
             let (key, val) = parse_kv(tok)?;
             match key {
@@ -631,7 +622,6 @@ impl Request {
                 "assignment" => want_assignment = parse_flag(key, val)?,
                 "trace" => trace = parse_flag(key, val)?,
                 "multilevel" => multilevel = parse_flag(key, val)?,
-                "near" => near = parse_flag(key, val)?,
                 _ => return Err(WireError::bad(format!("unknown solve field {key:?}"))),
             }
         }
@@ -662,7 +652,6 @@ impl Request {
             want_assignment,
             trace,
             multilevel,
-            near,
         })))
     }
 
@@ -1040,22 +1029,13 @@ mod tests {
     }
 
     #[test]
-    fn near_flag_parses_and_defaults_off() {
+    fn near_field_is_rejected_as_unknown() {
         let base = "solve graph=edges:2:0-1:1.0 machine=2x2:4,1,0";
-        let Ok(Request::Solve(spec)) = Request::parse(base) else {
-            panic!()
-        };
-        assert!(!spec.near, "near must default off (bit-reproducible path)");
-        let Ok(Request::Solve(spec)) = Request::parse(&format!("{base} near=1")) else {
-            panic!()
-        };
-        assert!(spec.near);
-        let Ok(Request::Solve(spec)) = Request::parse(&format!("{base} near=false")) else {
-            panic!()
-        };
-        assert!(!spec.near);
-        let err = Request::parse(&format!("{base} near=2")).unwrap_err();
-        assert_eq!(err.code, ErrCode::BadRequest);
+        for val in ["1", "0"] {
+            let err = Request::parse(&format!("{base} near={val}")).unwrap_err();
+            assert_eq!(err.code, ErrCode::BadRequest, "near={val}");
+            assert!(err.msg.contains("unknown solve field"), "{}", err.msg);
+        }
     }
 
     #[test]

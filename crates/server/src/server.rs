@@ -420,11 +420,7 @@ pub(crate) fn route_inline(line: &str, shared: &Shared) -> Routed {
                 .set(shared.sessions.open_count() as u64);
             format!(
                 "ok {}",
-                metrics.stats2_line(
-                    shared.cache.hits(),
-                    shared.cache.misses(),
-                    shared.cache.near_hits(),
-                )
+                metrics.stats2_line(shared.cache.hits(), shared.cache.misses())
             )
         }
         Request::Shutdown => {

@@ -14,9 +14,9 @@
 //!
 //! * **hit** — revisits one of a small pool of warm topologies, so the
 //!   server's decomposition cache answers `cache=hit`;
-//! * **near** — a `near=1` reweighted twin of a warm topology
-//!   (identical structure, perturbed demand), exercising the
-//!   similarity tier (`cache=near`);
+//! * **twin** — a demand-perturbed twin of a warm topology (identical
+//!   structure, different demand): an exact-key miss, so the server
+//!   builds it cold (`cache=miss`);
 //! * **miss** — a topology seed never used elsewhere in the schedule:
 //!   a guaranteed cold build;
 //! * **coalesce** — a *burst* of identical cold requests injected at
@@ -27,7 +27,7 @@
 //! pair yields byte-identical lines and microsecond-identical arrival
 //! times, so A/B arms of a benchmark replay *exactly* the same load.
 //! Run [`warm_lines`] through the server first (closed-loop) to prime
-//! the cache; otherwise the hit/near fractions degrade to misses.
+//! the cache; otherwise the hit fraction degrades to misses.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,8 +37,8 @@ use rand::{Rng, SeedableRng};
 pub enum TrafficKind {
     /// Exact decomposition-cache hit (warm topology revisit).
     Hit,
-    /// Similarity-tier warm start (`near=1` reweighted twin).
-    Near,
+    /// Demand-perturbed twin of a warm topology (an exact-key miss).
+    Twin,
     /// Guaranteed cold build (unique topology seed).
     Miss,
     /// Burst of identical cold requests that should coalesce onto one
@@ -66,14 +66,14 @@ pub struct OpenLoopOpts {
     pub rps: f64,
     /// Fraction of arrivals revisiting a warm topology (`cache=hit`).
     pub hit_frac: f64,
-    /// Fraction of arrivals sent as `near=1` reweighted twins.
-    pub near_frac: f64,
+    /// Fraction of arrivals sent as demand-perturbed twins.
+    pub twin_frac: f64,
     /// Fraction of arrivals belonging to coalescible bursts.
     pub coalesce_frac: f64,
     /// Identical requests per coalescible burst (all injected at the
     /// same instant).
     pub coalesce_burst: usize,
-    /// Distinct warm topologies backing the hit/near fractions.
+    /// Distinct warm topologies backing the hit/twin fractions.
     pub warm_topologies: usize,
     /// Machine descriptor sent with every request.
     pub machine: String,
@@ -85,7 +85,7 @@ impl Default for OpenLoopOpts {
             requests: 400,
             rps: 800.0,
             hit_frac: 0.55,
-            near_frac: 0.15,
+            twin_frac: 0.15,
             coalesce_frac: 0.10,
             coalesce_burst: 8,
             warm_topologies: 4,
@@ -101,11 +101,10 @@ fn warm_seed(topo: usize) -> u64 {
     1_000 + topo as u64
 }
 
-fn solve_line(machine: &str, topo_seed: u64, demand: f64, near: bool) -> String {
-    let near = if near { " near=1" } else { "" };
+fn solve_line(machine: &str, topo_seed: u64, demand: f64) -> String {
     format!(
         "solve graph=gen:clustered:2x4:{topo_seed} machine={machine} \
-         demand={demand:.3} trees=4 seed=100{near}"
+         demand={demand:.3} trees=4 seed=100"
     )
 }
 
@@ -124,11 +123,11 @@ fn burst_line(machine: &str, weight_seed: u64) -> String {
 ///
 /// Play these through the server (send, await reply, repeat) before
 /// starting the clock on the open-loop schedule; they populate the
-/// decomposition cache so the schedule's hit/near fractions behave as
+/// decomposition cache so the schedule's hit fraction behaves as
 /// labelled.
 pub fn warm_lines(opts: &OpenLoopOpts) -> Vec<String> {
     (0..opts.warm_topologies.max(1))
-        .map(|t| solve_line(&opts.machine, warm_seed(t), 0.3, false))
+        .map(|t| solve_line(&opts.machine, warm_seed(t), 0.3))
         .collect()
 }
 
@@ -150,7 +149,7 @@ pub fn open_loop_schedule(seed: u64, opts: &OpenLoopOpts) -> Vec<Arrival> {
     let c = opts.coalesce_frac.clamp(0.0, 0.9);
     let q = c / (burst as f64 - c * (burst as f64 - 1.0));
     let hit_cut = opts.hit_frac / (1.0 - c);
-    let near_cut = hit_cut + opts.near_frac / (1.0 - c);
+    let twin_cut = hit_cut + opts.twin_frac / (1.0 - c);
     // Cold seeds: unique per schedule position, disjoint from warm_seed.
     let mut next_cold = (1u64 << 32) | (seed << 8);
     let mut arrivals = Vec::with_capacity(opts.requests);
@@ -181,24 +180,24 @@ pub fn open_loop_schedule(seed: u64, opts: &OpenLoopOpts) -> Vec<Arrival> {
             arrivals.push(Arrival {
                 at_us,
                 kind: TrafficKind::Hit,
-                line: solve_line(&opts.machine, warm_seed(topo), 0.3, false),
+                line: solve_line(&opts.machine, warm_seed(topo), 0.3),
             });
-        } else if roll < near_cut {
+        } else if roll < twin_cut {
             // same structure as a warm topology, perturbed demand: an
-            // exact-key miss that the similarity tier warm-starts
+            // exact-key miss
             let topo = rng.gen_range(0..warm);
             let demand = 0.2 + 0.01 * rng.gen_range(1..10) as f64;
             arrivals.push(Arrival {
                 at_us,
-                kind: TrafficKind::Near,
-                line: solve_line(&opts.machine, warm_seed(topo), demand, true),
+                kind: TrafficKind::Twin,
+                line: solve_line(&opts.machine, warm_seed(topo), demand),
             });
         } else {
             next_cold += 1;
             arrivals.push(Arrival {
                 at_us,
                 kind: TrafficKind::Miss,
-                line: solve_line(&opts.machine, next_cold, 0.3, false),
+                line: solve_line(&opts.machine, next_cold, 0.3),
             });
         }
     }
@@ -236,7 +235,7 @@ mod tests {
         let count = |k: TrafficKind| sched.iter().filter(|a| a.kind == k).count() as f64;
         let n = sched.len() as f64;
         assert!((count(TrafficKind::Hit) / n - opts.hit_frac).abs() < 0.15);
-        assert!(count(TrafficKind::Near) > 0.0);
+        assert!(count(TrafficKind::Twin) > 0.0);
         assert!(count(TrafficKind::Miss) > 0.0);
         assert!(count(TrafficKind::Coalesce) > 0.0);
     }

@@ -423,7 +423,7 @@ fn legacy_and_event_front_ends_are_wire_compatible() {
     let script = [
         "solve graph=gen:clustered:2x4:900 machine=2x2:4,1,0 demand=0.3 trees=4 seed=42",
         "solve graph=gen:clustered:2x4:900 machine=2x2:4,1,0 demand=0.3 trees=4 seed=42",
-        "solve graph=gen:clustered:2x4:900 machine=2x2:4,1,0 demand=0.31 trees=4 seed=42 near=1",
+        "solve graph=gen:clustered:2x4:900 machine=2x2:4,1,0 demand=0.31 trees=4 seed=42",
         "place-incremental new machine=2x2:4,1,0",
         "place-incremental add session=1 demand=0.25",
         "place-incremental resize session=1 task=0 demand=0.4",
