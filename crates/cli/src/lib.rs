@@ -395,7 +395,7 @@ pub fn run(cli: &Cli, out: &mut impl Write) -> Result<(), String> {
 
 /// Plays a request script over one connection, closed-loop (each request
 /// waits for its reply), and writes a tally plus the server's final
-/// `stats` line.
+/// `stats2` line.
 fn run_client(addr: &str, script: &[String], out: &mut impl Write) -> Result<(), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
     let mut writer = stream
@@ -433,7 +433,7 @@ fn run_client(addr: &str, script: &[String], out: &mut impl Write) -> Result<(),
         if line.starts_with("place-incremental new") {
             session = reply_field(reply, "session").and_then(|s| s.parse().ok());
         }
-        if line == "stats" {
+        if line == "stats2" {
             last_stats = reply.to_string();
         }
     }
@@ -569,7 +569,7 @@ mod tests {
         run(&cli, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("err=0"), "replies had errors: {text}");
-        assert!(text.contains("ok requests="), "no stats line: {text}");
+        assert!(text.contains("ok version=2 "), "no stats2 line: {text}");
         server.shutdown();
     }
 

@@ -3,24 +3,23 @@
 //!
 //! A deployed placement outlives its solve. Operators add and remove
 //! operators, demands drift, racks drain for maintenance, machines join,
-//! level cost multipliers get re-calibrated. The historical answer —
-//! `DynamicPlacer`'s ad-hoc mutators plus a from-scratch pipeline run —
-//! is wrong on both ends: single mutations have no batch atomicity (a
-//! half-applied reconfiguration is worse than none), and a cold re-solve
-//! both wastes the expensive Räcke distribution (Andersen–Feige,
-//! arXiv:0907.3631: it depends only on the topology) and re-pins every
-//! task even when the operator can only afford to move a few.
+//! level cost multipliers get re-calibrated. Applying such changes one at
+//! a time has no batch atomicity (a half-applied reconfiguration is worse
+//! than none), and a cold re-solve both wastes the expensive Räcke
+//! distribution (Andersen–Feige, arXiv:0907.3631: it depends only on the
+//! topology) and re-pins every task even when the operator can only
+//! afford to move a few.
 //!
 //! [`Session`] fixes both:
 //!
 //! * [`Session::apply`] takes a batch of typed [`Mutation`]s, validates
 //!   the *whole* batch against a simulated state, and applies it
-//!   all-or-nothing. Task mutations reuse the exact `DynamicPlacer`
-//!   state machine (bit-identical to the deprecated one-at-a-time
-//!   methods); hierarchy mutations — drain a leaf, add machine groups,
-//!   re-scale a level multiplier, in the spirit of Makarychev–Makarychev's
-//!   nonuniform partitioning (arXiv:1401.0699) — are first-class rather
-//!   than "rebuild the instance".
+//!   all-or-nothing. Arrivals are placed best-fit against the Equation-1
+//!   cost, demand edits relocate a task only when its leaf overflows, and
+//!   removals free capacity; hierarchy mutations — drain a leaf, add
+//!   machine groups, re-scale a level multiplier, in the spirit of
+//!   Makarychev–Makarychev's nonuniform partitioning (arXiv:1401.0699) —
+//!   are first-class rather than "rebuild the instance".
 //! * [`Session::resolve`] re-places under a [`ChurnBudget`]. It assembles
 //!   a candidate set — the previous placement (zero moves), the best
 //!   bounded prefix of a hierarchy-aware FM pass seeded from the previous
@@ -46,18 +45,13 @@
 
 use crate::fingerprint::{topology_fingerprint, Fingerprinter};
 use crate::fm;
-use crate::incremental::DynamicPlacer;
 use crate::solver::SolverOptions;
 use crate::{Assignment, Instance, Solve};
 use hgp_decomp::Distribution;
 use hgp_graph::Graph;
+use hgp_hierarchy::parse::MAX_PARSE_LEAVES;
 use hgp_hierarchy::Hierarchy;
 use std::fmt;
-
-/// Hard ceiling on leaves a session's machine may grow to via
-/// [`Mutation::AddLeaves`] — a guard against runaway wire requests, far
-/// above any machine the solver is sized for.
-pub const MAX_SESSION_LEAVES: usize = 1 << 20;
 
 /// One typed placement mutation. Batches of these go through
 /// [`Session::apply`]; the order within a batch is the application order,
@@ -170,7 +164,8 @@ pub enum MutationError {
         /// Position in the batch.
         index: usize,
     },
-    /// Growth past [`MAX_SESSION_LEAVES`] (or past integer range).
+    /// Growth past [`MAX_PARSE_LEAVES`] — the leaf cap a machine
+    /// descriptor admits — or past integer range.
     MachineTooLarge {
         /// Position in the batch.
         index: usize,
@@ -227,7 +222,7 @@ impl fmt::Display for MutationError {
             Self::MachineTooLarge { index, leaves } => {
                 write!(
                     f,
-                    "mutation {index}: {leaves} leaves exceeds the {MAX_SESSION_LEAVES}-leaf limit"
+                    "mutation {index}: {leaves} leaves exceeds the {MAX_PARSE_LEAVES}-leaf limit"
                 )
             }
             Self::UnknownLevel { index, level } => {
@@ -450,7 +445,17 @@ fn dist_knobs_fp(opts: &SolverOptions) -> u64 {
 /// re-solves. See the [module docs](self) for the full story.
 #[derive(Clone, Debug)]
 pub struct Session {
-    placer: DynamicPlacer,
+    h: Hierarchy,
+    demands: Vec<f64>,
+    active: Vec<bool>,
+    /// adjacency: per task, `(neighbour, weight)` (symmetric).
+    adj: Vec<Vec<(u32, f64)>>,
+    leaf_of: Vec<u32>,
+    loads: Vec<f64>,
+    moves: u64,
+    /// Leaves fenced off by [`Mutation::DrainLeaf`]: they hold no tasks and
+    /// never receive new ones.
+    drained: Vec<bool>,
     mutations: u64,
     warm_solves: u64,
     cache: Option<WarmCache>,
@@ -459,8 +464,16 @@ pub struct Session {
 impl Session {
     /// An empty session on machine `h`.
     pub fn new(h: Hierarchy) -> Self {
+        let k = h.num_leaves();
         Self {
-            placer: DynamicPlacer::new(h),
+            h,
+            demands: Vec::new(),
+            active: Vec::new(),
+            adj: Vec::new(),
+            leaf_of: Vec::new(),
+            loads: vec![0.0; k],
+            moves: 0,
+            drained: vec![false; k],
             mutations: 0,
             warm_solves: 0,
             cache: None,
@@ -469,65 +482,85 @@ impl Session {
 
     /// A session seeded from an offline solution (e.g. the full pipeline).
     pub fn with_initial(h: Hierarchy, inst: &Instance, assignment: &Assignment) -> Self {
-        Self {
-            placer: DynamicPlacer::with_initial(h, inst, assignment),
-            mutations: 0,
-            warm_solves: 0,
-            cache: None,
+        let mut s = Self::new(h);
+        for v in 0..inst.num_tasks() {
+            s.demands.push(inst.demand(v));
+            s.active.push(true);
+            s.adj.push(Vec::new());
+            s.leaf_of.push(assignment.leaf(v) as u32);
+            s.loads[assignment.leaf(v)] += inst.demand(v);
         }
+        for (_, u, v, w) in inst.graph().edges() {
+            s.adj[u.index()].push((v.0, w));
+            s.adj[v.index()].push((u.0, w));
+        }
+        s
     }
 
     /// The machine hierarchy (current — it changes under
     /// [`Mutation::AddLeaves`] / [`Mutation::SetMultiplier`]).
     pub fn hierarchy(&self) -> &Hierarchy {
-        self.placer.hierarchy()
+        &self.h
     }
 
     /// Leaves in the machine.
     pub fn num_leaves(&self) -> usize {
-        self.placer.hierarchy().num_leaves()
+        self.h.num_leaves()
     }
 
     /// Live tasks.
     pub fn num_active(&self) -> usize {
-        self.placer.num_active()
+        self.active.iter().filter(|&&a| a).count()
     }
 
     /// `true` iff `task` exists and has not been removed.
     pub fn is_live(&self, task: usize) -> bool {
-        task < self.placer.active.len() && self.placer.active[task]
+        task < self.active.len() && self.active[task]
     }
 
     /// Leaf currently hosting `task`, or `None` if it is not live.
     pub fn leaf_of(&self, task: usize) -> Option<usize> {
-        self.is_live(task)
-            .then(|| self.placer.leaf_of[task] as usize)
+        self.is_live(task).then(|| self.leaf_of[task] as usize)
     }
 
     /// Current demand of `task`, or `None` if it is not live.
     pub fn demand_of(&self, task: usize) -> Option<f64> {
-        self.is_live(task).then(|| self.placer.demands[task])
+        self.is_live(task).then(|| self.demands[task])
     }
 
     /// Per-leaf loads.
     pub fn loads(&self) -> &[f64] {
-        self.placer.loads()
+        &self.loads
     }
 
     /// Worst leaf load (nominal capacity is 1.0).
     pub fn max_load(&self) -> f64 {
-        self.placer.max_load()
+        self.loads.iter().copied().fold(0.0, f64::max)
     }
 
     /// Current Equation-1 cost.
     pub fn cost(&self) -> f64 {
-        self.placer.cost()
+        let mut c = 0.0;
+        for (u, nbrs) in self.adj.iter().enumerate() {
+            if !self.active[u] {
+                continue;
+            }
+            for &(v, w) in nbrs {
+                let v = v as usize;
+                if self.active[v] && u < v {
+                    c += w * self
+                        .h
+                        .edge_multiplier(self.leaf_of[u] as usize, self.leaf_of[v] as usize);
+                }
+            }
+        }
+        c
     }
 
     /// Total placement moves so far (arrivals, relocations, evacuations,
     /// resolve commits) — the re-pinning churn.
     pub fn churn(&self) -> u64 {
-        self.placer.churn()
+        self.moves
     }
 
     /// Mutations committed through [`Session::apply`].
@@ -542,12 +575,7 @@ impl Session {
 
     /// `true` iff `leaf` has been drained.
     pub fn is_drained(&self, leaf: usize) -> bool {
-        self.placer.drained.get(leaf).copied().unwrap_or(false)
-    }
-
-    /// Drops the warm cache; the next [`Session::resolve`] builds cold.
-    pub fn invalidate(&mut self) {
-        self.cache = None;
+        self.drained.get(leaf).copied().unwrap_or(false)
     }
 
     /// Validates and applies a batch of mutations, all-or-nothing.
@@ -558,17 +586,13 @@ impl Session {
     /// [`Delta`] reports the assigned ids and the churn the batch cost.
     pub fn apply(&mut self, batch: &[Mutation]) -> Result<Delta, MutationError> {
         self.validate(batch)?;
-        let moves_before = self.placer.moves;
+        let moves_before = self.moves;
         let mut added = Vec::new();
         for m in batch {
             match m {
-                Mutation::AddTask { demand, nbrs } => {
-                    added.push(self.placer.add_task_impl(*demand, nbrs));
-                }
-                Mutation::RemoveTask { task } => self.placer.remove_task_impl(*task),
-                Mutation::UpdateDemand { task, demand } => {
-                    self.placer.update_demand_impl(*task, *demand)
-                }
+                Mutation::AddTask { demand, nbrs } => added.push(self.add_task(*demand, nbrs)),
+                Mutation::RemoveTask { task } => self.remove_task(*task),
+                Mutation::UpdateDemand { task, demand } => self.update_demand(*task, *demand),
                 Mutation::DrainLeaf { leaf } => self.drain_leaf(*leaf),
                 Mutation::AddLeaves { groups } => self.add_leaves(*groups),
                 Mutation::SetMultiplier { level, multiplier } => {
@@ -580,9 +604,9 @@ impl Session {
         Ok(Delta {
             applied: batch.len(),
             added,
-            moves: self.placer.moves - moves_before,
-            cost: self.placer.cost(),
-            max_load: self.placer.max_load(),
+            moves: self.moves - moves_before,
+            cost: self.cost(),
+            max_load: self.max_load(),
             leaves: self.num_leaves(),
         })
     }
@@ -591,14 +615,13 @@ impl Session {
     /// drain mask and the hierarchy shape through the batch without
     /// touching the session.
     fn validate(&self, batch: &[Mutation]) -> Result<(), MutationError> {
-        let p = &self.placer;
-        let mut live = p.active.clone();
-        let mut drained = p.drained.clone();
-        let mut deg0 = p.h.degree(0);
-        let cp1 = p.h.capacity(1);
-        let mut k = p.h.num_leaves();
-        let height = p.h.height();
-        let mut cm: Vec<f64> = (0..=height).map(|j| p.h.cost_multiplier(j)).collect();
+        let mut live = self.active.clone();
+        let mut drained = self.drained.clone();
+        let mut deg0 = self.h.degree(0);
+        let cp1 = self.h.capacity(1);
+        let mut k = self.h.num_leaves();
+        let height = self.h.height();
+        let mut cm: Vec<f64> = (0..=height).map(|j| self.h.cost_multiplier(j)).collect();
         let valid_demand = |d: f64| d.is_finite() && d > 0.0 && d <= 1.0;
         for (index, m) in batch.iter().enumerate() {
             match m {
@@ -656,7 +679,7 @@ impl Session {
                         .checked_add(*groups)
                         .and_then(|d| d.checked_mul(cp1))
                         .unwrap_or(usize::MAX);
-                    if new_k > MAX_SESSION_LEAVES {
+                    if new_k > MAX_PARSE_LEAVES {
                         return Err(MutationError::MachineTooLarge {
                             index,
                             leaves: new_k,
@@ -694,78 +717,153 @@ impl Session {
         Ok(())
     }
 
+    /// Equation-1 cost of `task`'s live edges if it sat on `leaf`.
+    fn marginal(&self, task: usize, leaf: usize) -> f64 {
+        self.adj[task]
+            .iter()
+            .filter(|&&(v, _)| self.active[v as usize])
+            .map(|&(v, w)| {
+                w * self
+                    .h
+                    .edge_multiplier(leaf, self.leaf_of[v as usize] as usize)
+            })
+            .sum()
+    }
+
+    /// The cheapest undrained leaf with room for `demand` (lowest index on
+    /// ties); when none has room, the least-loaded undrained leaf, the
+    /// violation accepted and visible in [`Session::max_load`].
+    fn best_leaf(&self, task: usize, demand: f64) -> usize {
+        let k = self.h.num_leaves();
+        let mut best = usize::MAX;
+        let mut best_cost = f64::INFINITY;
+        for leaf in 0..k {
+            if self.drained[leaf] || self.loads[leaf] + demand > 1.0 + 1e-9 {
+                continue;
+            }
+            let c = self.marginal(task, leaf);
+            if c < best_cost - 1e-15 {
+                best_cost = c;
+                best = leaf;
+            }
+        }
+        if best == usize::MAX {
+            // validation guarantees an undrained leaf exists
+            (0..k)
+                .filter(|&l| !self.drained[l])
+                .min_by(|&a, &b| self.loads[a].partial_cmp(&self.loads[b]).unwrap())
+                .expect("at least one undrained leaf")
+        } else {
+            best
+        }
+    }
+
+    /// Appends a validated task, places it best-fit and returns its id.
+    fn add_task(&mut self, demand: f64, neighbors: &[(usize, f64)]) -> usize {
+        let id = self.demands.len();
+        self.demands.push(demand);
+        self.active.push(true);
+        self.adj
+            .push(neighbors.iter().map(|&(v, w)| (v as u32, w)).collect());
+        for &(v, w) in neighbors {
+            self.adj[v].push((id as u32, w));
+        }
+        self.leaf_of.push(0);
+        let leaf = self.best_leaf(id, demand);
+        self.leaf_of[id] = leaf as u32;
+        self.loads[leaf] += demand;
+        self.moves += 1;
+        id
+    }
+
+    /// Retires a live task, freeing its capacity. Its id is never reused.
+    fn remove_task(&mut self, task: usize) {
+        self.active[task] = false;
+        self.loads[self.leaf_of[task] as usize] -= self.demands[task];
+    }
+
+    /// Re-sizes a live task; relocates it best-fit only if its leaf
+    /// overflows.
+    fn update_demand(&mut self, task: usize, demand: f64) {
+        let leaf = self.leaf_of[task] as usize;
+        self.loads[leaf] += demand - self.demands[task];
+        self.demands[task] = demand;
+        if self.loads[leaf] > 1.0 + 1e-9 {
+            self.loads[leaf] -= demand;
+            let new_leaf = self.best_leaf(task, demand);
+            self.leaf_of[task] = new_leaf as u32;
+            self.loads[new_leaf] += demand;
+            if new_leaf != leaf {
+                self.moves += 1;
+            }
+        }
+    }
+
     fn drain_leaf(&mut self, leaf: usize) {
-        let p = &mut self.placer;
-        p.drained[leaf] = true;
+        self.drained[leaf] = true;
         // evacuate in ascending id order — deterministic, and each task
         // lands best-fit against the placement as evacuated so far
-        for t in 0..p.demands.len() {
-            if p.active[t] && p.leaf_of[t] as usize == leaf {
-                let d = p.demands[t];
-                p.loads[leaf] -= d;
-                let to = p.best_leaf(t, d);
-                p.leaf_of[t] = to as u32;
-                p.loads[to] += d;
-                p.moves += 1;
+        for t in 0..self.demands.len() {
+            if self.active[t] && self.leaf_of[t] as usize == leaf {
+                let d = self.demands[t];
+                self.loads[leaf] -= d;
+                let to = self.best_leaf(t, d);
+                self.leaf_of[t] = to as u32;
+                self.loads[to] += d;
+                self.moves += 1;
             }
         }
     }
 
     fn add_leaves(&mut self, groups: usize) {
-        let p = &mut self.placer;
-        let mut degrees: Vec<usize> = (0..p.h.height()).map(|j| p.h.degree(j)).collect();
-        let cm: Vec<f64> = (0..=p.h.height()).map(|j| p.h.cost_multiplier(j)).collect();
+        let mut degrees: Vec<usize> = (0..self.h.height()).map(|j| self.h.degree(j)).collect();
+        let cm: Vec<f64> = (0..=self.h.height())
+            .map(|j| self.h.cost_multiplier(j))
+            .collect();
         degrees[0] += groups;
         let h = Hierarchy::new(degrees, cm);
         let k = h.num_leaves();
         // leaf indices are stable under root-degree growth (CP(1..) is
         // untouched), so the current placement carries over verbatim
-        p.loads.resize(k, 0.0);
-        p.drained.resize(k, false);
-        p.h = h;
+        self.loads.resize(k, 0.0);
+        self.drained.resize(k, false);
+        self.h = h;
     }
 
     fn set_multiplier(&mut self, level: usize, multiplier: f64) {
-        let p = &mut self.placer;
-        let degrees: Vec<usize> = (0..p.h.height()).map(|j| p.h.degree(j)).collect();
-        let mut cm: Vec<f64> = (0..=p.h.height()).map(|j| p.h.cost_multiplier(j)).collect();
+        let degrees: Vec<usize> = (0..self.h.height()).map(|j| self.h.degree(j)).collect();
+        let mut cm: Vec<f64> = (0..=self.h.height())
+            .map(|j| self.h.cost_multiplier(j))
+            .collect();
         cm[level] = multiplier;
-        p.h = Hierarchy::new(degrees, cm);
-    }
-
-    /// One bounded local-search pass over the live tasks (the legacy
-    /// `rebalance` semantics, kept as a supported cheap improvement knob):
-    /// strictly-improving single-task moves in task order, at most
-    /// `max_moves` of them, never onto drained leaves. Returns
-    /// `(moves made, cost gained)`.
-    pub fn rebalance(&mut self, max_moves: usize) -> (usize, f64) {
-        self.placer.rebalance_impl(max_moves)
+        self.h = Hierarchy::new(degrees, cm);
     }
 
     /// The live tasks as a dense instance, or `None` when the session is
     /// empty.
     pub fn snapshot(&self) -> Option<SessionSnapshot> {
-        let p = &self.placer;
-        let ids: Vec<usize> = (0..p.demands.len()).filter(|&t| p.active[t]).collect();
+        let ids: Vec<usize> = (0..self.demands.len())
+            .filter(|&t| self.active[t])
+            .collect();
         if ids.is_empty() {
             return None;
         }
-        let mut dense = vec![u32::MAX; p.demands.len()];
+        let mut dense = vec![u32::MAX; self.demands.len()];
         for (i, &t) in ids.iter().enumerate() {
             dense[t] = i as u32;
         }
         let mut edges: Vec<(u32, u32, f64)> = Vec::new();
         for &u in &ids {
-            for &(v, w) in &p.adj[u] {
+            for &(v, w) in &self.adj[u] {
                 let v = v as usize;
-                if u < v && p.active[v] {
+                if u < v && self.active[v] {
                     edges.push((dense[u], dense[v], w));
                 }
             }
         }
         let graph = Graph::from_edges(ids.len(), &edges);
-        let demands: Vec<f64> = ids.iter().map(|&t| p.demands[t]).collect();
-        let leaves: Vec<u32> = ids.iter().map(|&t| p.leaf_of[t]).collect();
+        let demands: Vec<f64> = ids.iter().map(|&t| self.demands[t]).collect();
+        let leaves: Vec<u32> = ids.iter().map(|&t| self.leaf_of[t]).collect();
         Some(SessionSnapshot {
             instance: Instance::new(graph, demands),
             leaves,
@@ -808,7 +906,7 @@ impl Session {
                 target_moves: None,
             };
         };
-        let h = self.placer.h.clone();
+        let h = self.h.clone();
         let inst = &snap.instance;
         let k = h.num_leaves();
         let topo_fp = topology_fingerprint(inst.graph());
@@ -867,7 +965,7 @@ impl Session {
         // inherited violation
         let cap = loads.iter().cloned().fold(1.0f64, f64::max);
         for (l, load) in loads.iter_mut().enumerate() {
-            if self.placer.drained[l] {
+            if self.drained[l] {
                 *load = f64::INFINITY;
             }
         }
@@ -932,16 +1030,15 @@ impl Session {
         // commit
         if chosen.moves > 0 {
             for (v, &l) in chosen.leaves.iter().enumerate() {
-                self.placer.leaf_of[snap.ids[v]] = l;
+                self.leaf_of[snap.ids[v]] = l;
             }
-            let p = &mut self.placer;
-            p.loads.iter_mut().for_each(|l| *l = 0.0);
-            for t in 0..p.demands.len() {
-                if p.active[t] {
-                    p.loads[p.leaf_of[t] as usize] += p.demands[t];
+            self.loads.iter_mut().for_each(|l| *l = 0.0);
+            for t in 0..self.demands.len() {
+                if self.active[t] {
+                    self.loads[self.leaf_of[t] as usize] += self.demands[t];
                 }
             }
-            p.moves += chosen.moves as u64;
+            self.moves += chosen.moves as u64;
         }
         let report = ResolveReport {
             cost: chosen.cost,
@@ -971,7 +1068,7 @@ impl Session {
     /// Moves any task the pipeline placed on a drained leaf to its best
     /// undrained leaf (capacity-aware, ascending dense order).
     fn evacuate_target(&self, leaves: &mut [u32], inst: &Instance, h: &Hierarchy) {
-        if !self.placer.drained.iter().any(|&d| d) {
+        if !self.drained.iter().any(|&d| d) {
             return;
         }
         let k = h.num_leaves();
@@ -981,7 +1078,7 @@ impl Session {
         }
         for v in 0..leaves.len() {
             let from = leaves[v] as usize;
-            if !self.placer.drained[from] {
+            if !self.drained[from] {
                 continue;
             }
             let d = inst.demand(v);
@@ -989,7 +1086,7 @@ impl Session {
             let mut best = usize::MAX;
             let mut best_cost = f64::INFINITY;
             for (leaf, &load) in loads.iter().enumerate() {
-                if self.placer.drained[leaf] || load + d > 1.0 + 1e-9 {
+                if self.drained[leaf] || load + d > 1.0 + 1e-9 {
                     continue;
                 }
                 let c = fm::marginal(inst.graph(), h, leaves, v, leaf);
@@ -1000,7 +1097,7 @@ impl Session {
             }
             if best == usize::MAX {
                 best = (0..k)
-                    .filter(|&l| !self.placer.drained[l])
+                    .filter(|&l| !self.drained[l])
                     .min_by(|&a, &b| loads[a].partial_cmp(&loads[b]).unwrap())
                     .expect("at least one undrained leaf");
             }
@@ -1030,42 +1127,101 @@ mod tests {
             .build()
     }
 
+    fn add(s: &mut Session, demand: f64, nbrs: &[(usize, f64)]) -> usize {
+        s.apply(&[Mutation::AddTask {
+            demand,
+            nbrs: nbrs.to_vec(),
+        }])
+        .unwrap()
+        .added[0]
+    }
+
     #[test]
-    fn batch_matches_one_by_one_deprecated_path() {
-        #![allow(deprecated)]
+    fn heavy_neighbours_colocate_on_arrival() {
         let mut s = Session::new(machine());
+        let a = add(&mut s, 0.4, &[]);
+        let b = add(&mut s, 0.4, &[(a, 10.0)]);
+        assert_eq!(s.leaf_of(a), s.leaf_of(b), "heavy pair should share a leaf");
+        assert_eq!(s.cost(), 0.0);
+    }
+
+    #[test]
+    fn capacity_spreads_within_a_socket() {
+        let mut s = Session::new(machine());
+        let a = add(&mut s, 0.8, &[]);
+        let b = add(&mut s, 0.8, &[(a, 5.0)]);
+        let (la, lb) = (s.leaf_of(a).unwrap(), s.leaf_of(b).unwrap());
+        assert_ne!(la, lb);
+        // but they should at least share a socket (multiplier 1 not 4)
+        assert_eq!(la / 2, lb / 2);
+        assert!((s.cost() - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn removal_frees_the_leaf_for_reuse_and_ids_are_never_recycled() {
+        let mut s = Session::new(machine());
+        let a = add(&mut s, 0.9, &[]);
+        let leaf = s.leaf_of(a).unwrap();
+        s.apply(&[Mutation::RemoveTask { task: a }]).unwrap();
+        assert!(s.loads()[leaf].abs() < 1e-12);
+        assert_eq!(s.num_active(), 0);
+        let b = add(&mut s, 0.9, &[]);
+        assert_ne!(a, b, "ids are monotone, never recycled");
+        assert_eq!(s.leaf_of(b), Some(leaf), "freed leaf is reusable");
+        assert_eq!(s.leaf_of(a), None, "the old id stays dead");
+        let total: f64 = s.loads().iter().sum();
+        assert!((total - 0.9).abs() < 1e-12, "dead id must not carry load");
+    }
+
+    #[test]
+    fn demand_growth_relocates_on_overflow() {
+        let mut s = Session::new(machine());
+        let a = add(&mut s, 0.5, &[]);
+        let b = add(&mut s, 0.5, &[(a, 1.0)]);
+        assert_eq!(s.leaf_of(a), s.leaf_of(b));
         let delta = s
-            .apply(&[
-                Mutation::AddTask {
-                    demand: 0.4,
-                    nbrs: vec![],
-                },
-                Mutation::AddTask {
-                    demand: 0.4,
-                    nbrs: vec![(0, 10.0)],
-                },
-                Mutation::UpdateDemand {
-                    task: 0,
-                    demand: 0.5,
-                },
-                Mutation::RemoveTask { task: 1 },
-            ])
+            .apply(&[Mutation::UpdateDemand {
+                task: b,
+                demand: 0.9,
+            }])
             .unwrap();
-        assert_eq!(delta.added, vec![0, 1]);
-        assert_eq!(delta.applied, 4);
+        assert_ne!(s.leaf_of(a), s.leaf_of(b), "overflow must relocate");
+        assert_eq!(delta.moves, 1);
+        assert!(s.max_load() <= 1.0 + 1e-9);
+    }
 
-        let mut p = DynamicPlacer::new(machine());
-        let a = p.add_task(0.4, &[]);
-        let _b = p.add_task(0.4, &[(a, 10.0)]);
-        p.update_demand(0, 0.5);
-        p.remove_task(1);
+    #[test]
+    fn churn_counts_arrivals_but_not_in_place_resizes() {
+        let mut s = Session::new(machine());
+        let a = add(&mut s, 0.3, &[]);
+        add(&mut s, 0.3, &[(a, 1.0)]);
+        assert_eq!(s.churn(), 2);
+        s.apply(&[Mutation::UpdateDemand {
+            task: a,
+            demand: 0.4,
+        }])
+        .unwrap(); // no overflow -> no move
+        assert_eq!(s.churn(), 2);
+        s.apply(&[Mutation::RemoveTask { task: a }]).unwrap();
+        assert_eq!(s.churn(), 2, "removals free capacity without moving");
+    }
 
-        assert_eq!(s.leaf_of(0), Some(p.leaf_of(0)));
-        assert_eq!(s.cost().to_bits(), p.cost().to_bits());
-        assert_eq!(s.churn(), p.churn());
-        for (a, b) in s.loads().iter().zip(p.loads()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+    #[test]
+    fn growth_is_capped_at_the_descriptor_leaf_limit() {
+        // 2 sockets x 4 cores: one level-1 group is 4 leaves
+        let mut s = Session::new(presets::multicore(2, 4, 4.0, 1.0));
+        let groups = MAX_PARSE_LEAVES / 4 - 2;
+        let delta = s.apply(&[Mutation::AddLeaves { groups }]).unwrap();
+        assert_eq!(delta.leaves, MAX_PARSE_LEAVES);
+        let err = s.apply(&[Mutation::AddLeaves { groups: 1 }]).unwrap_err();
+        assert_eq!(
+            err,
+            MutationError::MachineTooLarge {
+                index: 0,
+                leaves: MAX_PARSE_LEAVES + 4,
+            }
+        );
+        assert_eq!(s.num_leaves(), MAX_PARSE_LEAVES, "rejected growth applied");
     }
 
     #[test]

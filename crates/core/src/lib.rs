@@ -49,7 +49,6 @@ pub mod exact;
 pub mod facade;
 pub mod fingerprint;
 pub mod fm;
-pub mod incremental;
 mod instance;
 pub mod kbgp;
 pub mod laminar;

@@ -49,8 +49,10 @@ use hgp_graph::tree::RootedTree;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Maximum supported hierarchy height (signature lanes in a `u64`).
-pub const MAX_HEIGHT: usize = 4;
+/// Maximum supported hierarchy height (signature lanes in a `u64`). The
+/// machine-descriptor parser enforces the same cap, so it is defined once
+/// there.
+pub const MAX_HEIGHT: usize = hgp_hierarchy::parse::MAX_PARSE_HEIGHT;
 
 /// Deterministic multiplicative hasher (FxHash-style) for `u64` signature
 /// keys — fast, and reproducible across runs unlike `RandomState`.

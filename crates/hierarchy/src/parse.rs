@@ -11,14 +11,15 @@
 
 use crate::Hierarchy;
 
-/// Tallest machine a descriptor may describe. Matches the signature DP's
-/// `MAX_HEIGHT` (one 16-bit lane per level in a `u64`): descriptors that
-/// could never be solved are rejected here, at the text boundary, with a
-/// message instead of a downstream panic.
+/// Tallest machine a descriptor may describe. The signature DP's
+/// `MAX_HEIGHT` (one 16-bit lane per level in a `u64`) is defined as this
+/// constant: descriptors that could never be solved are rejected here, at
+/// the text boundary, with a message instead of a downstream panic.
 pub const MAX_PARSE_HEIGHT: usize = 4;
 
 /// Most leaves a descriptor may describe. Keeps adversarial shapes like
 /// `"1000x1000"` (10⁶ leaves) from allocating per-leaf state downstream.
+/// Elastic sessions in `hgp-core` cap machine growth at the same count.
 pub const MAX_PARSE_LEAVES: usize = 65_536;
 
 /// Coarse classification of a [`ParseHierarchyError`], for transports

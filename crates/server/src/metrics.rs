@@ -3,10 +3,8 @@
 //!
 //! Every metric lives in a [`Registry`] and is recorded through the typed
 //! `hgp-obs` handles (plain atomics — hot paths never serialise on a
-//! lock). The registry renders the versioned `stats2` reply directly; the
-//! legacy `stats` reply is kept byte-compatible with the pre-registry
-//! format so existing scrapers keep working. The old→new name mapping is
-//! documented in `docs/PROTOCOL.md`.
+//! lock). The registry renders the versioned `stats2` reply directly;
+//! the key reference is in `docs/PROTOCOL.md`.
 
 use hgp_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
@@ -60,39 +58,34 @@ pub struct Metrics {
     /// which counts *lookups* that missed — this counts the expensive
     /// `Solve::distribution` calls themselves, so
     /// `misses − builds` is the work single-flight coalescing saved.
-    /// `stats2`-only. Wire: `cache.builds`.
+    /// Wire: `cache.builds`.
     pub cache_builds: Arc<Counter>,
     /// Solves that joined an in-flight build as a follower and reused the
-    /// leader's distribution (reply tagged `cache=shared`). `stats2`-only.
+    /// leader's distribution (reply tagged `cache=shared`).
     /// Wire: `cache.coalesced`.
     pub cache_coalesced: Arc<Counter>,
     /// Cumulative microseconds workers spent executing solves (not
     /// idle-waiting on the queue). Worker utilization over a window is
-    /// `Δbusy-us / (workers × Δwall-us)`. `stats2`-only.
-    /// Wire: `pool.busy-us`.
+    /// `Δbusy-us / (workers × Δwall-us)`. Wire: `pool.busy-us`.
     pub pool_busy_us: Arc<Counter>,
     /// Client connections currently open (either front end).
-    /// `stats2`-only. Wire: `conns.open`.
+    /// Wire: `conns.open`.
     pub conns_open: Arc<Gauge>,
     /// Mutations committed through the transactional session API (each
-    /// element of a `mutate` batch, plus the legacy single-shot verbs
-    /// which route through the same API). `stats2`-only.
-    /// Wire: `session.mutations`.
+    /// element of a `mutate` batch). Wire: `session.mutations`.
     pub session_mutations: Arc<Counter>,
     /// `resolve` operations that reused the session's cached tree
-    /// distribution (replied `warm=1`). `stats2`-only.
-    /// Wire: `session.warm-solves`.
+    /// distribution (replied `warm=1`). Wire: `session.warm-solves`.
     pub session_warm_solves: Arc<Counter>,
     /// Placement moves session operations incurred (arrivals, overflow
     /// relocations, drain evacuations, resolve commits) — the fleet-wide
-    /// re-pinning churn. `stats2`-only. Wire: `session.moves`.
+    /// re-pinning churn. Wire: `session.moves`.
     pub session_moves: Arc<Counter>,
     /// End-to-end solve latency (enqueue to reply), successful solves
     /// only, in microseconds. Wire: `solve.latency-us`.
     pub solve_latency: Arc<Histogram>,
     /// Time a solve job spent queued before a worker picked it up, in
-    /// microseconds — the backpressure signal `stats` never exposed.
-    /// Wire: `queue.wait-us`.
+    /// microseconds — the backpressure signal. Wire: `queue.wait-us`.
     pub queue_wait: Arc<Histogram>,
 }
 
@@ -155,34 +148,6 @@ impl Metrics {
         }
     }
 
-    /// Renders the deprecated `stats` reply body (the part after `ok `),
-    /// byte-compatible with the pre-registry format. New consumers should
-    /// prefer [`Metrics::stats2_line`].
-    pub fn stats_line(&self, cache_hits: u64, cache_misses: u64) -> String {
-        format!(
-            "requests={} bad-requests={} solve-ok={} solve-degraded={} solve-err={} \
-             overloaded={} incr-ops={} sessions-open={} workers-alive={} \
-             worker-deaths={} solve-panics={} cache-hits={} cache-misses={} \
-             solve-p50-us={} solve-p99-us={} solve-max-us={}",
-            self.requests.get(),
-            self.bad_requests.get(),
-            self.solve_ok.get(),
-            self.solve_degraded.get(),
-            self.solve_err.get(),
-            self.overloaded.get(),
-            self.incr_ops.get(),
-            self.sessions_open.get(),
-            self.workers_alive.get(),
-            self.worker_deaths.get(),
-            self.solve_panics.get(),
-            cache_hits,
-            cache_misses,
-            self.solve_latency.quantile(0.50),
-            self.solve_latency.quantile(0.99),
-            self.solve_latency.max(),
-        )
-    }
-
     /// Renders the versioned `stats2` reply body: `version=2` followed by
     /// every registered metric in registration order, histograms expanded
     /// to `-p50`/`-p99`/`-max`/`-count` tokens.
@@ -197,57 +162,6 @@ impl Metrics {
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    #[test]
-    fn stats_line_reflects_counters() {
-        let m = Metrics::new();
-        m.requests.inc();
-        m.requests.inc();
-        m.solve_ok.inc();
-        m.solve_latency
-            .record_duration_us(Duration::from_micros(100));
-        let line = m.stats_line(3, 1);
-        assert!(line.contains("requests=2"), "{line}");
-        assert!(line.contains("solve-ok=1"), "{line}");
-        assert!(line.contains("cache-hits=3"), "{line}");
-        assert!(line.contains("cache-misses=1"), "{line}");
-        assert!(line.contains("workers-alive=0"), "{line}");
-        assert!(line.contains("worker-deaths=0"), "{line}");
-        assert!(line.contains("solve-panics=0"), "{line}");
-    }
-
-    #[test]
-    fn stats_line_is_byte_compatible_with_the_legacy_layout() {
-        // the deprecated reply must keep its exact token order — scrapers
-        // written against the pre-registry server parse positionally
-        let m = Metrics::new();
-        let line = m.stats_line(0, 0);
-        let keys: Vec<&str> = line
-            .split_whitespace()
-            .map(|kv| kv.split_once('=').unwrap().0)
-            .collect();
-        assert_eq!(
-            keys,
-            [
-                "requests",
-                "bad-requests",
-                "solve-ok",
-                "solve-degraded",
-                "solve-err",
-                "overloaded",
-                "incr-ops",
-                "sessions-open",
-                "workers-alive",
-                "worker-deaths",
-                "solve-panics",
-                "cache-hits",
-                "cache-misses",
-                "solve-p50-us",
-                "solve-p99-us",
-                "solve-max-us",
-            ]
-        );
-    }
 
     #[test]
     fn stats2_line_carries_version_and_renamed_keys() {
@@ -285,35 +199,5 @@ mod tests {
         ] {
             assert!(line.contains(tok), "missing {tok}: {line}");
         }
-    }
-
-    #[test]
-    fn legacy_stats_omits_post_v1_keys() {
-        // the frozen v1 reply must not grow tokens for metrics added after
-        // the freeze (coalescing, utilization, connections)
-        let m = Metrics::new();
-        m.cache_builds.inc();
-        m.cache_coalesced.inc();
-        m.pool_busy_us.add(9);
-        m.conns_open.set(3);
-        let line = m.stats_line(0, 0);
-        for tok in ["coalesced", "busy", "conns"] {
-            assert!(!line.contains(tok), "v1 stats must stay frozen: {line}");
-        }
-    }
-
-    #[test]
-    fn stats_and_stats2_agree_on_shared_values() {
-        let m = Metrics::new();
-        for _ in 0..3 {
-            m.requests.inc();
-        }
-        m.solve_degraded.inc();
-        m.workers_alive.set(4);
-        let v1 = m.stats_line(9, 9);
-        let v2 = m.stats2_line(9, 9);
-        assert!(v1.contains("requests=3") && v2.contains("req.lines=3"));
-        assert!(v1.contains("solve-degraded=1") && v2.contains("solve.degraded=1"));
-        assert!(v1.contains("workers-alive=4") && v2.contains("pool.workers-alive=4"));
     }
 }

@@ -9,25 +9,18 @@
 //!       [units=<u>] [trees=<p>] [seed=<s>] [deadline-ms=<d>]
 //!       [refine=0|1] [assignment=0|1] [trace=0|1] [multilevel=0|1]
 //! place-incremental new machine=<desc>
-//! place-incremental add session=<id> demand=<f> [nbrs=<t>:<w>,..]
-//! place-incremental remove session=<id> task=<t>
-//! place-incremental resize session=<id> task=<t> demand=<f>
-//! place-incremental rebalance session=<id> [max-moves=<n>]
 //! place-incremental mutate session=<id> <mutation>...
 //! place-incremental resolve session=<id> [budget=<n>] [ratio=<f>] [cold=0|1]
 //! place-incremental info session=<id>
 //! place-incremental end session=<id>
-//! stats
 //! stats2
 //! shutdown
 //! ```
 //!
-//! `stats` is the deprecated v1 metrics snapshot (legacy field names,
-//! byte-compatible with older servers); `stats2` is the versioned
-//! registry snapshot (`version=2` plus `req.*`/`solve.*`/`pool.*`/
-//! `cache.*` keys — mapping table in `docs/PROTOCOL.md`). `trace=1` on a
-//! `solve` appends per-stage `trace.*` profiling tokens to the `ok`
-//! reply.
+//! `stats2` is the versioned registry snapshot (`version=2` plus
+//! `req.*`/`solve.*`/`pool.*`/`cache.*`/`session.*` keys — reference in
+//! `docs/PROTOCOL.md`). `trace=1` on a `solve` appends per-stage
+//! `trace.*` profiling tokens to the `ok` reply.
 //!
 //! A `mutate` line carries one transactional batch: every token after
 //! `session=` is one mutation, applied in line order, all-or-nothing
@@ -429,38 +422,6 @@ pub enum IncrOp {
         /// Target machine.
         machine: Hierarchy,
     },
-    /// Add a task with edges to existing tasks.
-    Add {
-        /// Session id.
-        session: u64,
-        /// Task demand in `(0, 1]`.
-        demand: f64,
-        /// `(existing task, edge weight)` pairs.
-        nbrs: Vec<(usize, f64)>,
-    },
-    /// Remove a task.
-    Remove {
-        /// Session id.
-        session: u64,
-        /// Task id.
-        task: usize,
-    },
-    /// Change a task's demand.
-    Resize {
-        /// Session id.
-        session: u64,
-        /// Task id.
-        task: usize,
-        /// New demand in `(0, 1]`.
-        demand: f64,
-    },
-    /// Run bounded local-search improvement.
-    Rebalance {
-        /// Session id.
-        session: u64,
-        /// Move budget.
-        max_moves: usize,
-    },
     /// Apply a transactional batch of typed mutations, all-or-nothing.
     Mutate {
         /// Session id.
@@ -499,9 +460,6 @@ pub enum Request {
     Solve(Box<SolveSpec>),
     /// Session-scoped incremental mutation.
     Incr(IncrOp),
-    /// Metrics snapshot, legacy field names (deprecated alias of
-    /// [`Request::Stats2`] — kept byte-compatible for old scrapers).
-    Stats,
     /// Versioned metrics snapshot rendered from the `hgp-obs` registry.
     Stats2,
     /// Graceful shutdown.
@@ -576,11 +534,10 @@ impl Request {
             None => Err(WireError::bad("empty request")),
             Some("solve") => Self::parse_solve(toks),
             Some("place-incremental") => Self::parse_incr(toks),
-            Some("stats") => Ok(Request::Stats),
             Some("stats2") => Ok(Request::Stats2),
             Some("shutdown") => Ok(Request::Shutdown),
             Some(cmd) => Err(WireError::bad(format!(
-                "unknown command {cmd:?} (want solve | place-incremental | stats | stats2 | shutdown)"
+                "unknown command {cmd:?} (want solve | place-incremental | stats2 | shutdown)"
             ))),
         }
     }
@@ -662,27 +619,23 @@ impl Request {
         // `mutate` and `resolve` have their own grammars: `mutate` tokens
         // are order-sensitive (each one is a mutation in a transactional
         // batch) and reuse keys like `demand=` with different shapes
-        if op == "mutate" {
-            return Self::parse_mutate(toks).map(Request::Incr);
-        }
-        if op == "resolve" {
-            return Self::parse_resolve(toks).map(Request::Incr);
+        match op {
+            "mutate" => return Self::parse_mutate(toks).map(Request::Incr),
+            "resolve" => return Self::parse_resolve(toks).map(Request::Incr),
+            "new" | "info" | "end" => {}
+            other => {
+                return Err(WireError::bad(format!(
+                    "unknown place-incremental op {other:?}"
+                )))
+            }
         }
         let mut machine = None;
         let mut session = None;
-        let mut task = None;
-        let mut demand = None;
-        let mut nbrs = Vec::new();
-        let mut max_moves = 32usize;
         for tok in toks {
             let (key, val) = parse_kv(tok)?;
             match key {
                 "machine" => machine = Some(parse_machine(val)?),
                 "session" => session = Some(parse_num::<u64>(key, val)?),
-                "task" => task = Some(parse_num::<usize>(key, val)?),
-                "demand" => demand = Some(check_demand(parse_num(key, val)?)?),
-                "nbrs" => nbrs = parse_nbrs(val)?,
-                "max-moves" => max_moves = parse_num::<usize>(key, val)?.clamp(1, 10_000),
                 _ => {
                     return Err(WireError::bad(format!(
                         "unknown place-incremental field {key:?}"
@@ -692,41 +645,16 @@ impl Request {
         }
         let need_session =
             || session.ok_or_else(|| WireError::bad(format!("{op} needs session=…")));
-        let need_task = || task.ok_or_else(|| WireError::bad(format!("{op} needs task=…")));
-        let need_demand = || demand.ok_or_else(|| WireError::bad(format!("{op} needs demand=…")));
         let op = match op {
             "new" => IncrOp::New {
                 machine: machine.ok_or_else(|| WireError::bad("new needs machine=…"))?,
             },
-            "add" => IncrOp::Add {
-                session: need_session()?,
-                demand: need_demand()?,
-                nbrs,
-            },
-            "remove" => IncrOp::Remove {
-                session: need_session()?,
-                task: need_task()?,
-            },
-            "resize" => IncrOp::Resize {
-                session: need_session()?,
-                task: need_task()?,
-                demand: need_demand()?,
-            },
-            "rebalance" => IncrOp::Rebalance {
-                session: need_session()?,
-                max_moves,
-            },
             "info" => IncrOp::Info {
                 session: need_session()?,
             },
-            "end" => IncrOp::End {
+            _ => IncrOp::End {
                 session: need_session()?,
             },
-            other => {
-                return Err(WireError::bad(format!(
-                    "unknown place-incremental op {other:?}"
-                )))
-            }
         };
         Ok(Request::Incr(op))
     }
@@ -910,10 +838,8 @@ mod tests {
     fn parses_place_incremental_ops() {
         let ops = [
             "place-incremental new machine=2x4:4,1,0",
-            "place-incremental add session=3 demand=0.5 nbrs=0:1.0,2:3.5",
-            "place-incremental remove session=3 task=1",
-            "place-incremental resize session=3 task=0 demand=0.9",
-            "place-incremental rebalance session=3 max-moves=8",
+            "place-incremental mutate session=3 add=0.5:0:1.0,2:3.5 remove=1 demand=0:0.9",
+            "place-incremental resolve session=3 budget=8",
             "place-incremental info session=3",
             "place-incremental end session=3",
         ];
@@ -923,17 +849,19 @@ mod tests {
                 "{line}"
             );
         }
-        let Ok(Request::Incr(IncrOp::Add {
-            session,
-            demand,
-            nbrs,
-        })) = Request::parse("place-incremental add session=3 demand=0.5 nbrs=0:1.0,2:3.5")
+        let Ok(Request::Incr(IncrOp::Mutate { session, ops })) =
+            Request::parse("place-incremental mutate session=3 add=0.5:0:1.0,2:3.5")
         else {
             panic!()
         };
         assert_eq!(session, 3);
-        assert_eq!(demand, 0.5);
-        assert_eq!(nbrs, vec![(0, 1.0), (2, 3.5)]);
+        assert_eq!(
+            ops,
+            vec![hgp_core::Mutation::AddTask {
+                demand: 0.5,
+                nbrs: vec![(0, 1.0), (2, 3.5)],
+            }]
+        );
     }
 
     #[test]
@@ -954,15 +882,31 @@ mod tests {
             "solve graph=edges:2:0-1:1.0 machine=2x2:4,1,0 units=70000",
             // neighbour edges follow the same strictly-positive weight rule
             // as inline graph edges
-            "place-incremental add session=1 demand=0.5 nbrs=0:0.0",
-            "place-incremental add session=1 demand=0.5 nbrs=0:-1.0",
-            "place-incremental add session=1 demand=0.5 nbrs=0:inf",
-            "place-incremental add demand=0.5",
+            "place-incremental mutate session=1 add=0.5:0:0.0",
+            "place-incremental mutate session=1 add=0.5:0:-1.0",
+            "place-incremental mutate session=1 add=0.5:0:inf",
+            "place-incremental mutate add=0.5",
             "place-incremental wat session=1",
+            // the single-mutation verbs and v1 stats are gone
+            "place-incremental add session=1 demand=0.5",
+            "place-incremental remove session=1 task=0",
+            "place-incremental resize session=1 task=0 demand=0.5",
+            "place-incremental rebalance session=1 max-moves=8",
+            "stats",
         ] {
             let err = Request::parse(line).err().map(|e| e.code);
             assert_eq!(err, Some(ErrCode::BadRequest), "{line:?} -> {err:?}");
         }
+        for op in ["add", "remove", "resize", "rebalance"] {
+            let e = Request::parse(&format!("place-incremental {op} session=1")).unwrap_err();
+            assert!(e.msg.contains("unknown place-incremental op"), "{}", e.msg);
+        }
+        let e = Request::parse("stats").unwrap_err();
+        assert!(
+            !e.msg.contains("| stats |"),
+            "hint still lists stats: {}",
+            e.msg
+        );
     }
 
     #[test]
@@ -1075,8 +1019,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_shutdown_parse() {
-        assert!(matches!(Request::parse("stats"), Ok(Request::Stats)));
+    fn stats2_and_shutdown_parse() {
         assert!(matches!(Request::parse("stats2"), Ok(Request::Stats2)));
         assert!(matches!(Request::parse("shutdown"), Ok(Request::Shutdown)));
     }

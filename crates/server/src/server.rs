@@ -4,7 +4,7 @@
 //! Deliberately `std`-only (no async runtime is vendored). The default
 //! front end is the `event` readiness loop: one thread owns
 //! every connection through the [`crate::netpoll`] shim, parses lines,
-//! answers `stats`/`stats2`/`place-incremental`/`shutdown` inline, and
+//! answers `stats2`/`place-incremental`/`shutdown` inline, and
 //! dispatches `solve` into the bounded [`SolverPool`], flushing replies
 //! as workers complete. The legacy mode (`ServerConfig::legacy_threads`,
 //! `hgp serve --legacy-threads`) keeps the original thread per
@@ -352,7 +352,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
 
 /// What [`route_inline`] decided about one request line.
 pub(crate) enum Routed {
-    /// The reply is ready — `stats`, `stats2`, `place-incremental`,
+    /// The reply is ready — `stats2`, `place-incremental`,
     /// `shutdown`, and every error are answered without touching the
     /// solver pool (so metrics stay readable even when the pool is
     /// saturated).
@@ -405,15 +405,6 @@ pub(crate) fn route_inline(line: &str, shared: &Shared) -> Routed {
                 e.to_line()
             }
         },
-        Request::Stats => {
-            metrics
-                .sessions_open
-                .set(shared.sessions.open_count() as u64);
-            format!(
-                "ok {}",
-                metrics.stats_line(shared.cache.hits(), shared.cache.misses())
-            )
-        }
         Request::Stats2 => {
             metrics
                 .sessions_open
@@ -488,7 +479,7 @@ mod tests {
         assert!(r.starts_with("err bad-request"), "{r}");
 
         let r = roundtrip(&mut c, "stats");
-        assert!(r.contains("requests=4"), "{r}");
+        assert!(r.starts_with("err bad-request"), "{r}");
 
         let r = roundtrip(&mut c, "stats2");
         assert!(r.starts_with("ok version=2 req.lines=5"), "{r}");

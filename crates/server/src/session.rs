@@ -7,14 +7,9 @@
 //! never drive the placer into a panic: invalid requests turn into `err`
 //! replies with the right code (`not-found` for dead task ids,
 //! `machine-too-large` for runaway growth, `bad-request` otherwise).
-//!
-//! The legacy single-shot ops (`add`/`remove`/`resize`) route through the
-//! same [`Session::apply`] as one-mutation batches, so the deprecated
-//! wire verbs and the transactional `mutate` verb cannot drift: both run
-//! the exact same state machine underneath.
 
 use crate::protocol::{ErrCode, IncrOp, WireError};
-use hgp_core::{ChurnBudget, Mutation, MutationError, ReplaceOptions, Session};
+use hgp_core::{ChurnBudget, MutationError, ReplaceOptions, Session};
 use hgp_hierarchy::Hierarchy;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -91,81 +86,6 @@ impl SessionTable {
     pub fn apply(&self, op: IncrOp) -> Result<ApplyOutcome, WireError> {
         match op {
             IncrOp::New { machine } => self.open(machine),
-            IncrOp::Add {
-                session,
-                demand,
-                nbrs,
-            } => self.with_session(session, |s| {
-                let delta = s
-                    .apply(&[Mutation::AddTask { demand, nbrs }])
-                    .map_err(wire_err)?;
-                let id = delta.added[0];
-                Ok(ApplyOutcome {
-                    reply: format!(
-                        "task={} leaf={} cost={} max-load={}",
-                        id,
-                        s.leaf_of(id).expect("just added"),
-                        delta.cost,
-                        delta.max_load
-                    ),
-                    mutations: 1,
-                    moves: delta.moves,
-                    warm_solve: false,
-                })
-            }),
-            IncrOp::Remove { session, task } => self.with_session(session, |s| {
-                let delta = s
-                    .apply(&[Mutation::RemoveTask { task }])
-                    .map_err(wire_err)?;
-                Ok(ApplyOutcome {
-                    reply: format!(
-                        "task={} active={} cost={}",
-                        task,
-                        s.num_active(),
-                        delta.cost
-                    ),
-                    mutations: 1,
-                    moves: delta.moves,
-                    warm_solve: false,
-                })
-            }),
-            IncrOp::Resize {
-                session,
-                task,
-                demand,
-            } => self.with_session(session, |s| {
-                let delta = s
-                    .apply(&[Mutation::UpdateDemand { task, demand }])
-                    .map_err(wire_err)?;
-                Ok(ApplyOutcome {
-                    reply: format!(
-                        "task={} leaf={} max-load={} churn={}",
-                        task,
-                        s.leaf_of(task).expect("validated live"),
-                        delta.max_load,
-                        s.churn()
-                    ),
-                    mutations: 1,
-                    moves: delta.moves,
-                    warm_solve: false,
-                })
-            }),
-            IncrOp::Rebalance { session, max_moves } => self.with_session(session, |s| {
-                let before = s.cost();
-                let (moves, gained) = s.rebalance(max_moves);
-                Ok(ApplyOutcome {
-                    reply: format!(
-                        "moves={} gained={} cost={} was={}",
-                        moves,
-                        gained,
-                        s.cost(),
-                        before
-                    ),
-                    mutations: 0,
-                    moves: moves as u64,
-                    warm_solve: false,
-                })
-            }),
             IncrOp::Mutate { session, ops } => self.with_session(session, |s| {
                 let delta = s.apply(&ops).map_err(wire_err)?;
                 let added = if delta.added.is_empty() {
@@ -268,6 +188,7 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hgp_core::Mutation;
     use hgp_hierarchy::presets;
 
     fn open(t: &SessionTable) -> u64 {
@@ -284,33 +205,25 @@ mod tests {
             .unwrap()
     }
 
+    fn mutate(t: &SessionTable, session: u64, op: Mutation) -> Result<ApplyOutcome, WireError> {
+        t.apply(IncrOp::Mutate {
+            session,
+            ops: vec![op],
+        })
+    }
+
     #[test]
     fn session_lifecycle() {
         let t = SessionTable::new(8);
         let s = open(&t);
         assert_eq!(t.open_count(), 1);
-        let r = t
-            .apply(IncrOp::Add {
-                session: s,
-                demand: 0.5,
-                nbrs: vec![],
-            })
-            .unwrap();
-        assert!(r.reply.contains("task=0"), "{}", r.reply);
+        let add = |nbrs| Mutation::AddTask { demand: 0.5, nbrs };
+        let r = mutate(&t, s, add(vec![])).unwrap();
+        assert!(r.reply.contains("added=0"), "{}", r.reply);
         assert_eq!(r.mutations, 1);
-        let r = t
-            .apply(IncrOp::Add {
-                session: s,
-                demand: 0.5,
-                nbrs: vec![(0, 3.0)],
-            })
-            .unwrap();
-        assert!(r.reply.contains("task=1"), "{}", r.reply);
-        t.apply(IncrOp::Remove {
-            session: s,
-            task: 0,
-        })
-        .unwrap();
+        let r = mutate(&t, s, add(vec![(0, 3.0)])).unwrap();
+        assert!(r.reply.contains("added=1"), "{}", r.reply);
+        mutate(&t, s, Mutation::RemoveTask { task: 0 }).unwrap();
         t.apply(IncrOp::End { session: s }).unwrap();
         assert_eq!(t.open_count(), 0);
     }
@@ -319,42 +232,21 @@ mod tests {
     fn invalid_operations_become_errors_not_panics() {
         let t = SessionTable::new(8);
         let s = open(&t);
-        t.apply(IncrOp::Add {
-            session: s,
-            demand: 0.5,
-            nbrs: vec![],
-        })
-        .unwrap();
-        t.apply(IncrOp::Remove {
-            session: s,
-            task: 0,
-        })
-        .unwrap();
+        let add = |nbrs| Mutation::AddTask { demand: 0.5, nbrs };
+        mutate(&t, s, add(vec![])).unwrap();
+        mutate(&t, s, Mutation::RemoveTask { task: 0 }).unwrap();
         // edges to a removed task
-        let e = t
-            .apply(IncrOp::Add {
-                session: s,
-                demand: 0.5,
-                nbrs: vec![(0, 1.0)],
-            })
-            .unwrap_err();
+        let e = mutate(&t, s, add(vec![(0, 1.0)])).unwrap_err();
         assert_eq!(e.code, ErrCode::NotFound);
         // double remove
-        let e = t
-            .apply(IncrOp::Remove {
-                session: s,
-                task: 0,
-            })
-            .unwrap_err();
+        let e = mutate(&t, s, Mutation::RemoveTask { task: 0 }).unwrap_err();
         assert_eq!(e.code, ErrCode::NotFound);
         // resize of a task that never existed
-        let e = t
-            .apply(IncrOp::Resize {
-                session: s,
-                task: 99,
-                demand: 0.5,
-            })
-            .unwrap_err();
+        let resize = Mutation::UpdateDemand {
+            task: 99,
+            demand: 0.5,
+        };
+        let e = mutate(&t, s, resize).unwrap_err();
         assert_eq!(e.code, ErrCode::NotFound);
         // unknown session
         let e = t.apply(IncrOp::Info { session: 999 }).unwrap_err();
@@ -458,12 +350,11 @@ mod tests {
         assert!(cold.reply.contains("warm=0"), "{}", cold.reply);
         assert!(!cold.warm_solve);
         // a demand edit keeps the cache warm
-        t.apply(IncrOp::Resize {
-            session: s,
+        let resize = Mutation::UpdateDemand {
             task: 0,
             demand: 0.5,
-        })
-        .unwrap();
+        };
+        mutate(&t, s, resize).unwrap();
         let warm = t
             .apply(IncrOp::Resolve {
                 session: s,

@@ -7,8 +7,9 @@
 //! the seed, and deliberately revisit a small pool of graph topologies so
 //! a server-side decomposition cache has hits to show; a fraction of the
 //! solves carry tight deadlines to exercise the degradation path, and each
-//! script interleaves an incremental-placement session with the solves —
-//! the same mixture the server's loopback integration test asserts on.
+//! script interleaves an elastic placement session (`mutate` edits and
+//! budgeted `resolve`s) with the solves — the same mixture the server's
+//! loopback integration test replays.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,10 +86,10 @@ pub fn request_script(seed: u64, opts: &RequestScriptOpts) -> Vec<String> {
                     String::new()
                 } else {
                     let t = live[rng.gen_range(0..live.len())];
-                    format!(" nbrs={t}:{:.1}", rng.gen_range(0.5..4.0))
+                    format!(":{t}:{:.1}", rng.gen_range(0.5..4.0))
                 };
                 lines.push(format!(
-                    "place-incremental add session=SID demand={:.2}{nbrs}",
+                    "place-incremental mutate session=SID add={:.2}{nbrs}",
                     rng.gen_range(0.05..0.4)
                 ));
                 live.push(next_task);
@@ -96,21 +97,21 @@ pub fn request_script(seed: u64, opts: &RequestScriptOpts) -> Vec<String> {
             } else if roll < 7 {
                 let idx = rng.gen_range(0..live.len());
                 let t = live.swap_remove(idx);
-                lines.push(format!("place-incremental remove session=SID task={t}"));
+                lines.push(format!("place-incremental mutate session=SID remove={t}"));
             } else if roll < 9 {
                 let t = live[rng.gen_range(0..live.len())];
                 lines.push(format!(
-                    "place-incremental resize session=SID task={t} demand={:.2}",
+                    "place-incremental mutate session=SID demand={t}:{:.2}",
                     rng.gen_range(0.05..0.5)
                 ));
             } else {
-                lines.push("place-incremental rebalance session=SID max-moves=8".to_string());
+                lines.push("place-incremental resolve session=SID budget=8".to_string());
             }
         }
     }
     lines.push("place-incremental info session=SID".to_string());
     lines.push("place-incremental end session=SID".to_string());
-    lines.push("stats".to_string());
+    lines.push("stats2".to_string());
     lines
 }
 
@@ -148,7 +149,7 @@ mod tests {
             .count();
         assert_eq!(solves, opts.solves);
         assert!(incr >= 3, "script has almost no incremental traffic");
-        assert_eq!(script.last().map(String::as_str), Some("stats"));
+        assert_eq!(script.last().map(String::as_str), Some("stats2"));
         // repeat topologies: fewer distinct graph= values than solves
         let mut graphs: Vec<&str> = script
             .iter()
@@ -175,8 +176,8 @@ mod tests {
     #[test]
     fn session_substitution_and_reply_fields() {
         assert_eq!(
-            substitute_session("place-incremental add session=SID demand=0.2", 17),
-            "place-incremental add session=17 demand=0.2"
+            substitute_session("place-incremental mutate session=SID add=0.2", 17),
+            "place-incremental mutate session=17 add=0.2"
         );
         assert_eq!(reply_field("ok session=4 leaves=8", "session"), Some("4"));
         assert_eq!(reply_field("ok cost=1.25 degraded=0", "cost"), Some("1.25"));

@@ -84,16 +84,16 @@ impl Client {
     /// Asserts the pool is fully alive and nothing has escaped the panic
     /// boundary.
     fn assert_pool_healthy(&mut self) {
-        let stats = self.req("stats");
+        let stats = self.req("stats2");
         let field = |k: &str| {
             reply_field(&stats, k)
                 .unwrap_or_else(|| panic!("no {k} in {stats:?}"))
                 .parse::<u64>()
                 .unwrap()
         };
-        assert_eq!(field("workers-alive"), WORKERS as u64, "{stats}");
-        assert_eq!(field("worker-deaths"), 0, "{stats}");
-        assert_eq!(field("solve-panics"), 0, "{stats}");
+        assert_eq!(field("pool.workers-alive"), WORKERS as u64, "{stats}");
+        assert_eq!(field("pool.worker-deaths"), 0, "{stats}");
+        assert_eq!(field("pool.solve-panics"), 0, "{stats}");
     }
 }
 
@@ -354,9 +354,37 @@ fn elastic_mutate_resolve_poison_then_serve() {
     c.assert_pool_healthy();
 }
 
+/// A session's machine may grow to exactly the leaf cap `new machine=`
+/// admits (65 536) and not one group further; the rejected growth leaves
+/// the session as it was.
+#[test]
+fn session_growth_stops_at_the_descriptor_leaf_cap() {
+    let mut c = Client::connect();
+    let reply = c.req("place-incremental new machine=2x4:4,1,0");
+    let sid = reply_field(&reply, "session").unwrap().to_string();
+
+    // 2 + 16382 level-1 groups of 4 leaves each = 65 536 leaves
+    let reply = c.req(&format!(
+        "place-incremental mutate session={sid} grow=16382"
+    ));
+    assert!(reply.starts_with("ok applied=1"), "{reply}");
+    assert_eq!(reply_field(&reply, "leaves"), Some("65536"), "{reply}");
+
+    let before = c.req(&format!("place-incremental info session={sid}"));
+    let reply = c.req(&format!("place-incremental mutate session={sid} grow=1"));
+    assert!(reply.starts_with("err machine-too-large"), "{reply}");
+    let after = c.req(&format!("place-incremental info session={sid}"));
+    assert_eq!(before, after, "rejected growth changed the session");
+
+    let reply = c.req(&format!("place-incremental mutate session={sid} add=0.5"));
+    assert_eq!(reply_field(&reply, "leaves"), Some("65536"), "{reply}");
+    let reply = c.req(&format!("place-incremental end session={sid}"));
+    assert!(reply.starts_with("ok "), "{reply}");
+}
+
 /// The acceptance batch: a fixed poison list (each line exactly one
 /// `err …` reply), then a valid solve answers `ok … degraded=0`, then
-/// `stats` shows the full pool alive with zero deaths.
+/// `stats2` shows the full pool alive with zero deaths.
 #[test]
 fn poison_then_serve() {
     let mut c = Client::connect();

@@ -1,11 +1,11 @@
 //! The online placer against offline re-solves: churn stays bounded while
 //! quality stays within a constant of recomputing from scratch. All churn
 //! goes through the typed [`hgp::core::Mutation`] batches of
-//! [`hgp::core::Session`]; the single `deprecated_` test at the bottom is
-//! the compatibility pin for the old free-method mutators.
+//! [`hgp::core::Session`], with budgeted [`Session::resolve`] passes as the
+//! improvement step.
 
 use hgp::core::solver::SolverOptions;
-use hgp::core::{Instance, Mutation, Session, Solve};
+use hgp::core::{Instance, Mutation, ReplaceOptions, Session, Solve};
 use hgp::graph::GraphBuilder;
 use hgp::graph::NodeId;
 use hgp::hierarchy::presets;
@@ -21,6 +21,14 @@ fn add_task(s: &mut Session, demand: f64, nbrs: &[(usize, f64)]) -> usize {
         }])
         .expect("a single valid add must apply");
     delta.added[0]
+}
+
+/// A small, seeded resolve that may move at most `max_moves` tasks.
+fn budgeted(max_moves: usize) -> ReplaceOptions {
+    ReplaceOptions::builder()
+        .solver(SolverOptions::builder().trees(2).units(4).seed(5).build())
+        .max_moves(max_moves)
+        .build()
 }
 
 /// Replays a random arrival sequence through the placer and through
@@ -57,8 +65,10 @@ fn online_quality_tracks_offline_within_constant() {
             edges.push((t as u32, i as u32, w));
         }
     }
-    // a rebalance pass after the burst
-    session.rebalance(24);
+    // best-fit arrivals hold nominal capacity
+    assert!(session.max_load() <= 1.0 + 1e-9);
+    // a budgeted re-solve after the burst
+    session.resolve(&budgeted(24));
 
     // offline re-solve on the final graph
     let mut b = GraphBuilder::new(24);
@@ -76,10 +86,16 @@ fn online_quality_tracks_offline_within_constant() {
         online_cost,
         offline.cost
     );
-    // churn: one placement per arrival plus the bounded rebalance
+    // churn: one placement per arrival plus the bounded re-solve
     assert!(session.churn() <= 24 + 24, "churn {}", session.churn());
-    // load discipline maintained throughout
-    assert!(session.max_load() <= 1.0 + 1e-9);
+    // the re-solve may commit the pipeline's bicriteria answer, which
+    // stays within the same loose capacity bound the pipeline tests use
+    let bound = 2.0 * (1.0 + machine.height() as f64);
+    assert!(
+        session.max_load() <= bound,
+        "max load {}",
+        session.max_load()
+    );
 }
 
 /// Removing everything returns the session to a clean state.
@@ -109,7 +125,7 @@ fn full_drain_leaves_no_residue() {
 }
 
 /// Drives a session through a seeded churn sequence (adds, removes,
-/// resizes, rebalances) while mirroring the surviving tasks in plain
+/// resizes, budgeted re-solves) while mirroring the surviving tasks in plain
 /// vectors, returning the session plus the mirror for cross-checks.
 fn churn_sequence(seed: u64, steps: usize) -> (Session, Vec<(usize, f64)>) {
     let machine = presets::multicore(2, 4, 4.0, 1.0);
@@ -143,7 +159,7 @@ fn churn_sequence(seed: u64, steps: usize) -> (Session, Vec<(usize, f64)>) {
                 .unwrap();
             live[idx].1 = d;
         } else {
-            session.rebalance(4);
+            session.resolve(&budgeted(4));
         }
     }
     (session, live)
@@ -152,7 +168,7 @@ fn churn_sequence(seed: u64, steps: usize) -> (Session, Vec<(usize, f64)>) {
 /// After an arbitrary churn sequence, the session's per-leaf loads must
 /// equal a from-scratch recompute over the surviving tasks — the
 /// incremental bookkeeping (adds, removals, resizes, relocations,
-/// rebalance moves) may not drift.
+/// re-solve moves) may not drift.
 #[test]
 fn churn_load_bookkeeping_matches_recompute() {
     for seed in [1u64, 7, 42, 2024] {
@@ -188,7 +204,7 @@ fn churn_counter_is_monotone() {
             let task = live.swap_remove(rng.gen_range(0..live.len()));
             session.apply(&[Mutation::RemoveTask { task }]).unwrap();
         } else {
-            session.rebalance(2);
+            session.resolve(&budgeted(2));
         }
         let now = session.churn();
         assert!(
@@ -250,43 +266,89 @@ fn demand_oscillation_preserves_load_accounting() {
     }
 }
 
-/// Deprecation-compat pin: the old `DynamicPlacer` free-method mutators
-/// must keep working and must trace the exact trajectory the typed
-/// [`Mutation`] batches produce — they are documented as delegating to the
-/// same state machine.
-#[test]
-#[allow(deprecated)]
-fn deprecated_mutators_match_the_session_api() {
-    use hgp::core::incremental::DynamicPlacer;
-    let machine = presets::multicore(2, 4, 4.0, 1.0);
-    let mut old = DynamicPlacer::new(machine.clone());
-    let mut new = Session::new(machine);
-
-    let a_old = old.add_task(0.3, &[]);
-    let a_new = add_task(&mut new, 0.3, &[]);
-    assert_eq!(a_old, a_new);
-    let b_old = old.add_task(0.25, &[(a_old, 2.0)]);
-    let b_new = add_task(&mut new, 0.25, &[(a_new, 2.0)]);
-    assert_eq!(b_old, b_new);
-    let c_old = old.add_task(0.4, &[(a_old, 1.0), (b_old, 0.5)]);
-    let c_new = add_task(&mut new, 0.4, &[(a_new, 1.0), (b_new, 0.5)]);
-    assert_eq!(c_old, c_new);
-
-    old.update_demand(b_old, 0.1);
-    new.apply(&[Mutation::UpdateDemand {
-        task: b_new,
-        demand: 0.1,
-    }])
-    .unwrap();
-    old.remove_task(a_old);
-    new.apply(&[Mutation::RemoveTask { task: a_new }]).unwrap();
-    old.rebalance(4);
-    new.rebalance(4);
-
-    for t in [b_old, c_old] {
-        assert_eq!(Some(old.leaf_of(t)), new.leaf_of(t), "task {t} diverged");
+/// A seeded apply-only stream — adds, removes, demand edits and drains in
+/// batches of one to three — on `multicore(2, 4, 4.0, 1.0)`. Returns an
+/// FNV-1a hash over every batch's `(cost bits, churn, moves)`, the final
+/// cost bits and churn, and the final leaf of every live task in id order.
+fn golden_stream(seed: u64) -> (u64, u64, u64, Vec<(usize, usize)>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut session = Session::new(presets::multicore(2, 4, 4.0, 1.0));
+    let mut live: Vec<usize> = Vec::new();
+    let mut next_id = 0usize;
+    let mut drained = 0usize;
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for _ in 0..48 {
+        let mut batch = Vec::new();
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let roll = rng.gen_range(0..20u32);
+            if live.is_empty() || roll < 9 {
+                let mut nbrs: Vec<(usize, f64)> = Vec::new();
+                for _ in 0..rng.gen_range(0..=2usize) {
+                    if live.is_empty() {
+                        break;
+                    }
+                    let t = live[rng.gen_range(0..live.len())];
+                    if !nbrs.iter().any(|&(x, _)| x == t) {
+                        nbrs.push((t, rng.gen_range(0.5..4.0)));
+                    }
+                }
+                batch.push(Mutation::AddTask {
+                    demand: rng.gen_range(0.05..0.45),
+                    nbrs,
+                });
+                live.push(next_id);
+                next_id += 1;
+            } else if roll < 13 {
+                let task = live.swap_remove(rng.gen_range(0..live.len()));
+                batch.push(Mutation::RemoveTask { task });
+            } else if roll < 19 || drained >= 2 {
+                batch.push(Mutation::UpdateDemand {
+                    task: live[rng.gen_range(0..live.len())],
+                    demand: rng.gen_range(0.05..0.7),
+                });
+            } else {
+                // leaves 0 and 7 sit in different sockets; never both twice
+                batch.push(Mutation::DrainLeaf { leaf: drained * 7 });
+                drained += 1;
+            }
+        }
+        let delta = session.apply(&batch).expect("the stream is valid");
+        for word in [session.cost().to_bits(), session.churn(), delta.moves] {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
     }
-    assert_eq!(old.loads(), new.loads());
-    assert_eq!(old.churn(), new.churn());
-    assert!((old.cost() - new.cost()).abs() < 1e-12);
+    let leaves = (0..next_id)
+        .filter_map(|t| session.leaf_of(t).map(|l| (t, l)))
+        .collect();
+    (hash, session.cost().to_bits(), session.churn(), leaves)
+}
+
+/// Pins one seeded [`golden_stream`] trajectory bit for bit: any change to
+/// best-fit placement, overflow relocation, drain evacuation or the cost
+/// sum shows up here.
+#[test]
+fn golden_apply_trajectory_is_pinned() {
+    let (hash, cost_bits, churn, leaves) = golden_stream(13);
+    assert_eq!(hash, 0xf59b_8c72_218c_0cda, "per-batch trajectory drifted");
+    assert_eq!(cost_bits, 0x405e_11b0_0c14_1784, "final cost drifted");
+    assert_eq!(churn, 60);
+    let ids: Vec<usize> = leaves.iter().map(|&(t, _)| t).collect();
+    let on: Vec<usize> = leaves.iter().map(|&(_, l)| l).collect();
+    assert_eq!(
+        ids,
+        [
+            4, 7, 8, 9, 10, 11, 12, 14, 15, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 30, 32, 33, 34,
+            35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 47
+        ]
+    );
+    assert_eq!(
+        on,
+        [
+            6, 4, 1, 2, 3, 3, 4, 5, 1, 1, 2, 2, 3, 3, 1, 6, 4, 5, 5, 6, 2, 2, 5, 2, 5, 4, 5, 4, 5,
+            5, 1, 6, 6, 4, 3
+        ],
+        "final leaves drifted"
+    );
 }

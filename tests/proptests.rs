@@ -261,23 +261,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Typed [`Mutation`] batches applied through [`Session::apply`] trace
-    /// the deprecated `DynamicPlacer` one-at-a-time mutators bit for bit:
-    /// same placements, same loads, same cost, same churn — batching is
-    /// pure API, never a different trajectory.
+    /// A mutation stream applied through [`Session::apply`] in batches of
+    /// three traces the same stream applied one mutation per batch bit for
+    /// bit: same placements, same loads, same cost, same churn — batching
+    /// is pure API, never a different trajectory.
     #[test]
-    #[allow(deprecated)]
-    fn session_batches_match_deprecated_one_by_one(
+    fn session_batches_of_three_match_one_mutation_batches(
         ops in proptest::collection::vec(
             (0u8..10, 0.05f64..0.4, any::<u64>(), 0.1f64..4.0),
             1..40,
         ),
     ) {
-        use hgp::core::incremental::DynamicPlacer;
         use hgp::hierarchy::presets;
         let machine = presets::multicore(2, 4, 4.0, 1.0);
-        let mut old = DynamicPlacer::new(machine.clone());
-        let mut new = Session::new(machine);
+        let mut single = Session::new(machine.clone());
+        let mut batched = Session::new(machine);
 
         // Translate the op stream into mutations against a shadow state,
         // so ids referenced later in a batch are known up front.
@@ -308,31 +306,21 @@ proptest! {
             }
         }
 
-        // old API: strictly one at a time
-        for m in &muts {
-            match m {
-                Mutation::AddTask { demand, nbrs } => {
-                    old.add_task(*demand, nbrs);
-                }
-                Mutation::RemoveTask { task } => old.remove_task(*task),
-                Mutation::UpdateDemand { task, demand } => {
-                    old.update_demand(*task, *demand)
-                }
-                _ => unreachable!("the stream only emits task mutations"),
-            }
+        for chunk in muts.chunks(1) {
+            single.apply(chunk).expect("a replayed valid stream must apply");
         }
-        // new API: the same stream in batches of three
         for chunk in muts.chunks(3) {
-            new.apply(chunk).expect("a replayed valid stream must apply");
+            batched.apply(chunk).expect("a replayed valid stream must apply");
         }
 
-        prop_assert_eq!(old.churn(), new.churn());
-        prop_assert_eq!(old.cost().to_bits(), new.cost().to_bits());
-        for (leaf, (o, n)) in old.loads().iter().zip(new.loads()).enumerate() {
+        prop_assert_eq!(single.churn(), batched.churn());
+        prop_assert_eq!(single.cost().to_bits(), batched.cost().to_bits());
+        for (leaf, (o, n)) in single.loads().iter().zip(batched.loads()).enumerate() {
             prop_assert_eq!(o.to_bits(), n.to_bits(), "leaf {} load diverged", leaf);
         }
         for &t in &live {
-            prop_assert_eq!(Some(old.leaf_of(t)), new.leaf_of(t), "task {} diverged", t);
+            prop_assert!(single.leaf_of(t).is_some(), "task {} lost", t);
+            prop_assert_eq!(single.leaf_of(t), batched.leaf_of(t), "task {} diverged", t);
         }
     }
 }
