@@ -11,12 +11,12 @@
 //! Without `--validate`, runs the serial and parallel solve arms on the
 //! seeded mesh workload (see `hgp_bench::solver_bench`), writes the JSON
 //! report to `--out`, and exits non-zero if the document fails its own
-//! validation (including cost parity between the arms and between the
-//! legacy and arena DP engines). With `--validate`, only checks an
-//! existing file. With `--smoke`, re-measures the workload and exits
-//! non-zero if `total.serial_ms` or `stages.distribution.serial_ms`
-//! regressed more than 25% against the committed baseline at PATH — the
-//! CI bench-regression gate.
+//! validation (including cost parity between the arms). With
+//! `--validate`, only checks an existing file. With `--smoke`, re-measures
+//! the workload and exits non-zero if the fresh serial and parallel arms
+//! disagree on cost or assignment, or if `total.serial_ms` or
+//! `stages.distribution.serial_ms` regressed more than 25% against the
+//! committed baseline at PATH — the CI bench-regression gate.
 //!
 //! This binary registers the counting global allocator, so the emitted
 //! per-stage allocation counts are real; library consumers see zeros.
@@ -92,10 +92,8 @@ fn main() {
         let report = run_solver_bench(&opts).unwrap_or_else(|e| fail(&e));
         match smoke_check(&committed, &report) {
             Ok(()) => println!(
-                "{path}: smoke ok, total.serial_ms {:.2} (arena speedup {:.2}x, \
-                 trace overhead {:+.1}%)",
+                "{path}: smoke ok, total.serial_ms {:.2} (trace overhead {:+.1}%)",
                 report.total.serial_ms,
-                report.engine.arena_speedup(),
                 100.0 * report.trace.overhead_frac()
             ),
             Err(e) => fail(&format!("{path}: {e}")),
@@ -109,12 +107,11 @@ fn main() {
     std::fs::write(&out, &text).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
     eprintln!(
         "wrote {out}: dist {:.1} ms -> {:.1} ms, dp {:.1} ms -> {:.1} ms, \
-         arena speedup {:.2}x, trace overhead {:+.1}%, parity ok",
+         trace overhead {:+.1}%, parity ok",
         report.distribution.serial_ms,
         report.distribution.parallel_ms,
         report.dp.serial_ms,
         report.dp.parallel_ms,
-        report.engine.arena_speedup(),
         100.0 * report.trace.overhead_frac(),
     );
 }

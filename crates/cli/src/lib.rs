@@ -5,7 +5,7 @@
 
 use hgp_baselines::refine::{refine, RefineOpts};
 use hgp_core::solver::SolverOptions;
-use hgp_core::{DpOptions, Instance, Parallelism, Solve};
+use hgp_core::{Instance, Parallelism, Solve};
 use hgp_graph::io::read_metis;
 use hgp_graph::{traversal, Graph};
 use hgp_hierarchy::{parse_hierarchy, Hierarchy};
@@ -21,8 +21,7 @@ usage:
   hgp partition --graph FILE.metis --machine SHAPE[:CMS] [options]
   hgp info --graph FILE.metis
   hgp serve [--addr HOST:PORT] [--workers N] [--queue N] [--threads N]
-            [--cache-capacity N] [--max-sessions N] [--no-prune]
-            [--legacy-threads]
+            [--cache-capacity N] [--max-sessions N] [--legacy-threads]
   hgp client --addr HOST:PORT [--seed S] [--solves N] [--topologies N]
              [--incr-ops N] [--deadline-frac F] [--machine SHAPE[:CMS]]
 
@@ -38,8 +37,6 @@ options for `partition`:
   --multilevel     coarsen large graphs through the hgp-multilevel V-cycle
                    (exact solve on the coarsest graph, hierarchy-aware FM
                    refinement on the way back up)
-  --no-prune       disable dominance pruning in the signature DP
-                   (slower exhaustive tables; also accepted by `serve`)
 
 `--threads` on `serve` sets the same knob for every daemon solve (peak
 thread demand is workers x threads).
@@ -76,8 +73,6 @@ pub enum Cli {
         refine: bool,
         /// Route the solve through the multilevel V-cycle.
         multilevel: bool,
-        /// Dominance pruning in the signature DP (on unless `--no-prune`).
-        prune: bool,
     },
     /// `hgp info …`
     Info {
@@ -98,8 +93,6 @@ pub enum Cli {
         cache_capacity: usize,
         /// Maximum open incremental sessions.
         max_sessions: usize,
-        /// Dominance pruning for every daemon solve (on unless `--no-prune`).
-        prune: bool,
         /// Thread-per-connection front end instead of the event loop.
         legacy_threads: bool,
     },
@@ -136,7 +129,6 @@ impl Cli {
         let mut threads = 0usize;
         let mut do_refine = false;
         let mut multilevel = false;
-        let mut prune = true;
         let mut legacy_threads = false;
         let mut addr = None;
         let mut workers = 4usize;
@@ -166,7 +158,6 @@ impl Cli {
                 "--threads" => threads = num("--threads", value("--threads")?)?,
                 "--refine" => do_refine = true,
                 "--multilevel" => multilevel = true,
-                "--no-prune" => prune = false,
                 "--legacy-threads" => legacy_threads = true,
                 "--addr" => addr = Some(value("--addr")?),
                 "--workers" => workers = num("--workers", value("--workers")?)?,
@@ -195,7 +186,6 @@ impl Cli {
                 threads,
                 refine: do_refine,
                 multilevel,
-                prune,
             }),
             "info" => Ok(Cli::Info {
                 graph: graph.ok_or("--graph is required")?,
@@ -207,7 +197,6 @@ impl Cli {
                 threads,
                 cache_capacity,
                 max_sessions: max_sessions.max(1),
-                prune,
                 legacy_threads,
             }),
             "client" => Ok(Cli::Client {
@@ -277,7 +266,6 @@ pub fn run(cli: &Cli, out: &mut impl Write) -> Result<(), String> {
             threads,
             refine: do_refine,
             multilevel,
-            prune,
         } => {
             let g = load_graph(graph)?;
             let h: Hierarchy = parse_hierarchy(machine).map_err(|e| e.to_string())?;
@@ -292,7 +280,6 @@ pub fn run(cli: &Cli, out: &mut impl Write) -> Result<(), String> {
                 .units(*units)
                 .seed(*seed)
                 .threads(Parallelism::from_threads(*threads))
-                .dp(DpOptions::builder().dominance_prune(*prune).build())
                 .multilevel(hgp_core::MultilevelOptions {
                     enabled: *multilevel,
                     ..Default::default()
@@ -349,7 +336,6 @@ pub fn run(cli: &Cli, out: &mut impl Write) -> Result<(), String> {
             threads,
             cache_capacity,
             max_sessions,
-            prune,
             legacy_threads,
         } => {
             let mut server = Server::start(
@@ -360,7 +346,6 @@ pub fn run(cli: &Cli, out: &mut impl Write) -> Result<(), String> {
                     .parallelism(Parallelism::from_threads(*threads))
                     .cache_capacity(*cache_capacity)
                     .max_sessions(*max_sessions)
-                    .dp(DpOptions::builder().dominance_prune(*prune).build())
                     .legacy_threads(*legacy_threads)
                     .build(),
             )
@@ -461,7 +446,7 @@ mod tests {
     fn parses_partition_flags() {
         let cli = Cli::parse(&argv(
             "partition --graph g.metis --machine 2x4:4,1,0 --units 16 --trees 3 --seed 9 \
-             --threads 2 --refine --no-prune",
+             --threads 2 --refine",
         ))
         .unwrap();
         assert_eq!(
@@ -476,7 +461,6 @@ mod tests {
                 threads: 2,
                 refine: true,
                 multilevel: false,
-                prune: false,
             }
         );
     }
@@ -522,7 +506,6 @@ mod tests {
                 threads: 1,
                 cache_capacity: 32,
                 max_sessions: 256,
-                prune: true,
                 legacy_threads: false,
             }
         );

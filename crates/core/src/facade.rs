@@ -106,17 +106,11 @@ impl<'a> Solve<'a> {
 
     /// Runs the §3 reduction for tree-shaped communication graphs
     /// (exact on such instances — Theorem 2). Uses the request's
-    /// rounding, DP-engine, and trace options; the distribution knobs
+    /// rounding and trace options; the distribution knobs
     /// (`num_trees`, `decomp`, `seed`, `parallelism`) are irrelevant
     /// here and ignored.
     pub fn run_tree(&self) -> Result<TreeSolveReport, SolveError> {
-        solve_tree_shaped_impl(
-            self.inst,
-            self.machine,
-            self.opts.rounding,
-            self.opts.dp,
-            self.opts.trace,
-        )
+        solve_tree_shaped_impl(self.inst, self.machine, self.opts.rounding, self.opts.trace)
     }
 }
 

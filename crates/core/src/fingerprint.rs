@@ -6,7 +6,7 @@
 //! depends only on the *topology*, not on which demand matrix is routed
 //! over it, so repeat solves on the same communication graph can reuse it.
 //! That requires a key. This module provides 64-bit FNV-1a fingerprints of
-//! instances, hierarchies and solver options that are
+//! instances, topologies and distribution-build options that are
 //!
 //! * **stable across processes** (no `DefaultHasher` randomisation), so
 //!   cache keys survive restarts and can be logged/compared;
@@ -20,7 +20,6 @@
 use crate::solver::SolverOptions;
 use crate::Instance;
 use hgp_decomp::{CutOracle, DecompOpts};
-use hgp_hierarchy::Hierarchy;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -104,20 +103,6 @@ pub fn topology_fingerprint(g: &hgp_graph::Graph) -> u64 {
     fp.finish()
 }
 
-/// Fingerprint of a machine hierarchy: height, per-level degrees and cost
-/// multipliers.
-pub fn hierarchy_fingerprint(h: &Hierarchy) -> u64 {
-    let mut fp = Fingerprinter::new();
-    fp.write_usize(h.height());
-    for j in 0..h.height() {
-        fp.write_usize(h.degree(j));
-    }
-    for j in 0..=h.height() {
-        fp.write_f64(h.cost_multiplier(j));
-    }
-    fp.finish()
-}
-
 pub(crate) fn write_decomp_opts(fp: &mut Fingerprinter, opts: &DecompOpts) {
     let b = &opts.bisect;
     fp.write_f64(b.target0_frac)
@@ -149,31 +134,10 @@ pub fn distribution_fingerprint(inst: &Instance, opts: &SolverOptions) -> u64 {
     fp.finish()
 }
 
-/// Full request key: instance, hierarchy and every solver option that can
-/// change the answer ([`Parallelism`](crate::Parallelism) deliberately
-/// excluded — the solve is bit-identical across worker widths; likewise
-/// the DP *engine* choice, which is bit-identical by construction, while
-/// dominance pruning feeds the key because it may steer tie-breaks
-/// between equal-cost optima).
-pub fn solve_fingerprint(inst: &Instance, h: &Hierarchy, opts: &SolverOptions) -> u64 {
-    let mut fp = Fingerprinter::new();
-    fp.write_u64(distribution_fingerprint(inst, opts))
-        .write_u64(hierarchy_fingerprint(h))
-        .write_u64(opts.rounding.units_per_leaf() as u64)
-        .write_u64(opts.dp.dominance_prune as u64)
-        // the multilevel front-end changes the placement pipeline (and,
-        // when enabled, the answer), so every knob feeds the key
-        .write_u64(opts.multilevel.enabled as u64)
-        .write_usize(opts.multilevel.coarsen_until)
-        .write_usize(opts.multilevel.refine_passes);
-    fp.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hgp_graph::Graph;
-    use hgp_hierarchy::presets;
 
     fn inst() -> Instance {
         let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]);
@@ -183,8 +147,6 @@ mod tests {
     #[test]
     fn identical_structures_collide() {
         assert_eq!(instance_fingerprint(&inst()), instance_fingerprint(&inst()));
-        let h = presets::multicore(2, 2, 4.0, 1.0);
-        assert_eq!(hierarchy_fingerprint(&h), hierarchy_fingerprint(&h));
     }
 
     #[test]
@@ -220,81 +182,47 @@ mod tests {
     }
 
     #[test]
-    fn machine_and_rounding_feed_solve_key_but_not_distribution_key() {
+    fn distribution_key_covers_exactly_the_build_inputs() {
         let i = inst();
         let opts = SolverOptions::default();
-        let h1 = presets::multicore(2, 2, 4.0, 1.0);
-        let h2 = presets::flat(4);
-        assert_eq!(
-            distribution_fingerprint(&i, &opts),
-            distribution_fingerprint(&i, &opts)
-        );
-        assert_ne!(
-            solve_fingerprint(&i, &h1, &opts),
-            solve_fingerprint(&i, &h2, &opts)
-        );
+        let key = distribution_fingerprint(&i, &opts);
+        assert_eq!(key, distribution_fingerprint(&i, &opts));
         let mut reseeded = opts;
         reseeded.seed ^= 1;
+        assert_ne!(key, distribution_fingerprint(&i, &reseeded));
+        let mut waved = opts;
+        waved.decomp.mwu_wave = 1;
         assert_ne!(
-            distribution_fingerprint(&i, &opts),
-            distribution_fingerprint(&i, &reseeded)
+            key,
+            distribution_fingerprint(&i, &waved),
+            "the MWU wave width samples a different distribution"
+        );
+        let mut regridded = opts;
+        regridded.rounding = crate::Rounding::with_units(3);
+        assert_eq!(
+            key,
+            distribution_fingerprint(&i, &regridded),
+            "the rounding grid belongs to the per-tree DP, not the build"
         );
         let mut wider = opts;
         wider.parallelism = crate::Parallelism::Fixed(7);
         assert_eq!(
-            solve_fingerprint(&i, &h1, &opts),
-            solve_fingerprint(&i, &h1, &wider),
-            "parallelism must not change the request identity"
-        );
-        let mut waved = opts;
-        waved.decomp.mwu_wave = 1;
-        assert_ne!(
-            distribution_fingerprint(&i, &opts),
-            distribution_fingerprint(&i, &waved),
-            "the MWU wave width samples a different distribution"
-        );
-        let mut unpruned = opts;
-        unpruned.dp.dominance_prune = false;
-        assert_ne!(
-            solve_fingerprint(&i, &h1, &opts),
-            solve_fingerprint(&i, &h1, &unpruned),
-            "dominance pruning can steer tie-breaks, so it feeds the key"
-        );
-        let mut legacy = opts;
-        legacy.dp.legacy_engine = true;
-        assert_eq!(
-            solve_fingerprint(&i, &h1, &opts),
-            solve_fingerprint(&i, &h1, &legacy),
-            "the engine choice is bit-identical and must not change the key"
+            key,
+            distribution_fingerprint(&i, &wider),
+            "parallelism must not change the key"
         );
         let mut ml = opts;
         ml.multilevel.enabled = true;
-        assert_ne!(
-            solve_fingerprint(&i, &h1, &opts),
-            solve_fingerprint(&i, &h1, &ml),
-            "the multilevel front-end changes the answer, so it feeds the key"
-        );
+        ml.multilevel.coarsen_until += 1;
         assert_eq!(
-            distribution_fingerprint(&i, &opts),
+            key,
             distribution_fingerprint(&i, &ml),
             "multilevel knobs do not change which distribution is sampled"
-        );
-        let mut ml_depth = opts;
-        ml_depth.multilevel.coarsen_until += 1;
-        assert_ne!(
-            solve_fingerprint(&i, &h1, &opts),
-            solve_fingerprint(&i, &h1, &ml_depth),
-            "coarsen_until changes the V-cycle shape, so it feeds the key"
         );
         let mut traced = opts;
         traced.trace = true;
         assert_eq!(
-            solve_fingerprint(&i, &h1, &opts),
-            solve_fingerprint(&i, &h1, &traced),
-            "tracing is observational and must not change the key"
-        );
-        assert_eq!(
-            distribution_fingerprint(&i, &opts),
+            key,
             distribution_fingerprint(&i, &traced),
             "tracing is observational and must not change the key"
         );

@@ -68,7 +68,6 @@ pub use facade::Solve;
 pub use hgp_decomp::Parallelism;
 pub use hgp_obs::{SolveTrace, SpanRecord, StageNanos, TraceSink};
 pub use instance::{Infeasibility, Instance};
-pub use relaxed::{DpOptions, DpOptionsBuilder};
 pub use rounding::Rounding;
 pub use solver::{HgpReport, MultilevelOptions, SolverOptions, SolverOptionsBuilder};
 pub use tree_solver::{SolveError, TreeSolveReport};

@@ -29,58 +29,28 @@
 //! sequentially is exactly the paper's binarised merge with dummy nodes,
 //! without materialising the dummies.
 //!
-//! # Engines
+//! # Engine
 //!
 //! Signatures are packed into `u64` (16-bit lane per level, `h ≤ 4`).
-//! The production engine stores every table entry in one flat *arena*
+//! The engine stores every table entry in one flat *arena*
 //! (structure-of-arrays: interned `u64` signatures plus parallel vectors
 //! of costs and `u32` backpointer indices) and resolves the
 //! `(j₁, j₂)`-consistent merge by a sorted merge over candidate
 //! signatures instead of hash probing; backpointer walking is then plain
-//! index chasing. A legacy per-node hash-table engine (deterministic
-//! FxHash-style hasher) is retained behind [`DpOptions::legacy_engine`]
-//! as a parity oracle — both engines produce bit-identical
-//! `(cost, cut_level)` results, which the property tests and
-//! `bench_solver` enforce.
+//! index chasing. Its tie-breaks are those of the pre-arena per-node
+//! hash-table DP (the "legacy" path the comments below refer to). That
+//! DP is a parity oracle in the root test tree
+//! (`tests/oracle/legacy_dp.rs`), and the root tests require
+//! bit-identical `(cost, cut_level)` results from both.
 
 #![allow(clippy::needless_range_loop)] // parallel-array indexing is clearer here
 use crate::error::{check_height, HgpError};
 use hgp_graph::tree::RootedTree;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum supported hierarchy height (signature lanes in a `u64`). The
 /// machine-descriptor parser enforces the same cap, so it is defined once
 /// there.
 pub const MAX_HEIGHT: usize = hgp_hierarchy::parse::MAX_PARSE_HEIGHT;
-
-/// Deterministic multiplicative hasher (FxHash-style) for `u64` signature
-/// keys — fast, and reproducible across runs unlike `RandomState`.
-#[derive(Default)]
-pub struct FxHasher64 {
-    state: u64,
-}
-
-impl Hasher for FxHasher64 {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(K);
-    }
-}
-
-/// HashMap with the deterministic hasher.
-pub type FxMap<V> = HashMap<u64, V, BuildHasherDefault<FxHasher64>>;
 
 /// Reads lane `k` (level `k+1`) of a packed signature.
 #[inline]
@@ -115,83 +85,6 @@ pub fn sig_unpack(sig: u64, h: usize) -> Vec<u32> {
     sig_lanes(sig, h).collect()
 }
 
-/// Options for the signature-DP engine, plumbed down from
-/// `SolverOptions::dp`.
-///
-/// Construct via [`DpOptions::builder`] (the struct is `#[non_exhaustive]`
-/// so observability and engine knobs can be added without breaking
-/// downstream crates); [`Default`] remains available.
-#[non_exhaustive]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DpOptions {
-    /// Drop Pareto-dominated signatures after every child fold (see
-    /// `prune_keep`'s soundness note). Defaults on; turning it off
-    /// trades speed for an exhaustive table and can steer tie-breaks
-    /// between equal-cost optima, so this flag feeds the solve
-    /// fingerprint.
-    pub dominance_prune: bool,
-    /// Run the legacy per-node hash-table engine instead of the flat
-    /// arena. Bit-identical to the arena engine by construction (enforced
-    /// by property tests and `bench_solver`'s parity check); retained as
-    /// an oracle and A/B timing baseline, not for production use.
-    pub legacy_engine: bool,
-}
-
-impl Default for DpOptions {
-    fn default() -> Self {
-        Self {
-            dominance_prune: true,
-            legacy_engine: false,
-        }
-    }
-}
-
-impl DpOptions {
-    /// Starts a builder at the defaults.
-    pub fn builder() -> DpOptionsBuilder {
-        DpOptionsBuilder::default()
-    }
-
-    /// Re-opens these options as a builder (for tweaking a copy).
-    pub fn to_builder(self) -> DpOptionsBuilder {
-        DpOptionsBuilder { opts: self }
-    }
-}
-
-/// Builder for [`DpOptions`] — the supported way to construct them from
-/// outside this crate.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DpOptionsBuilder {
-    opts: DpOptions,
-}
-
-impl DpOptionsBuilder {
-    /// Enables or disables dominance pruning (default on).
-    pub fn dominance_prune(mut self, on: bool) -> Self {
-        self.opts.dominance_prune = on;
-        self
-    }
-
-    /// Selects the legacy hash-table engine (default off).
-    pub fn legacy_engine(mut self, on: bool) -> Self {
-        self.opts.legacy_engine = on;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> DpOptions {
-        self.opts
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Step {
-    cost: f64,
-    prev: u64,
-    child_sig: u64,
-    j: u8,
-}
-
 /// Output of [`solve_relaxed`].
 #[derive(Clone, Debug)]
 pub struct RelaxedSolution {
@@ -207,12 +100,12 @@ pub struct RelaxedSolution {
     /// `O(n · D^{3h+2})` running-time experiment T4).
     pub table_entries: usize,
     /// Entries dropped by dominance pruning (0 when
-    /// [`DpOptions::dominance_prune`] is off). Both engines count this
-    /// through the same keep mask, so the value is engine-identical.
+    /// [`solve_relaxed_with`] runs with pruning off).
     pub pruned_entries: usize,
 }
 
-/// Solves RHGPT exactly on rounded demands with default engine options.
+/// Solves RHGPT exactly on rounded demands, dropping Pareto-dominated
+/// table entries after every child fold.
 ///
 /// * `tree` — rooted tree whose leaves carry tasks; infinite edge weights
 ///   mark uncuttable edges (dummy attachments).
@@ -234,16 +127,19 @@ pub fn solve_relaxed(
     caps: &[u32],
     deltas: &[f64],
 ) -> Result<RelaxedSolution, HgpError> {
-    solve_relaxed_with(tree, leaf_units, caps, deltas, DpOptions::default())
+    solve_relaxed_with(tree, leaf_units, caps, deltas, true)
 }
 
-/// [`solve_relaxed`] with explicit engine options.
+/// [`solve_relaxed`] with dominance pruning selectable. `prune = false`
+/// keeps every table exhaustive: slower, and free to settle a tie between
+/// equal-cost optima differently. Every pipeline solve prunes; the
+/// exhaustive table serves the engine-parity tests, which run both ways.
 pub fn solve_relaxed_with(
     tree: &RootedTree,
     leaf_units: &[u32],
     caps: &[u32],
     deltas: &[f64],
-    opts: DpOptions,
+    prune: bool,
 ) -> Result<RelaxedSolution, HgpError> {
     let h = caps.len();
     check_height(h)?;
@@ -263,11 +159,7 @@ pub fn solve_relaxed_with(
     }
     let n = tree.num_nodes();
     assert_eq!(leaf_units.len(), n);
-    if opts.legacy_engine {
-        solve_legacy(tree, leaf_units, caps, deltas, h, opts.dominance_prune)
-    } else {
-        solve_arena(tree, leaf_units, caps, deltas, h, opts.dominance_prune)
-    }
+    solve_arena(tree, leaf_units, caps, deltas, h, prune)
 }
 
 /// Sentinel arena index: "no predecessor" (first fold of a node) and
@@ -826,170 +718,10 @@ fn solve_arena(
     })
 }
 
-/// Legacy hash-table engine — the pre-arena implementation, kept
-/// bit-identical in observable output so it can serve as the parity
-/// oracle for the arena path.
-fn solve_legacy(
-    tree: &RootedTree,
-    leaf_units: &[u32],
-    caps: &[u32],
-    deltas: &[f64],
-    h: usize,
-    prune: bool,
-) -> Result<RelaxedSolution, HgpError> {
-    let n = tree.num_nodes();
-
-    // steps[v][i]: fold table after absorbing child i of v.
-    let mut steps: Vec<Vec<FxMap<Step>>> = vec![Vec::new(); n];
-    // finals[v]: signature -> best cost for the subtree of v.
-    let mut finals: Vec<Vec<(u64, f64)>> = vec![Vec::new(); n];
-    let mut table_entries = 0usize;
-    let mut pruned_entries = 0usize;
-    let mut prune_scratch = PruneScratch::default();
-    let mut prune_entries: Vec<(u64, f64)> = Vec::new();
-
-    for v in tree.postorder() {
-        if tree.is_leaf(v) {
-            let d = leaf_units[v];
-            assert!(d >= 1, "leaf {v} has zero rounded demand");
-            if (0..h).any(|k| d > caps[k]) {
-                // a single task exceeds some level capacity
-                return Err(HgpError::CapacityInfeasible);
-            }
-            let mut sig = 0u64;
-            for k in 0..h {
-                sig = sig_with_lane(sig, k, d);
-            }
-            finals[v] = vec![(sig, 0.0)];
-            table_entries += 1;
-            continue;
-        }
-
-        let mut cur: Vec<(u64, f64)> = vec![(0, 0.0)];
-        let kids = tree.children(v).to_vec();
-        let mut node_steps = Vec::with_capacity(kids.len());
-        for &c in &kids {
-            let c = c as usize;
-            let w = tree.edge_weight(c);
-            let mut next: FxMap<Step> = FxMap::default();
-            for &(csig, ccost) in &finals[c] {
-                // suffix charge: suf[j] = Σ_{k ≥ j, lane(csig,k) > 0} w·δ(k)
-                let mut suf = [0.0f64; MAX_HEIGHT + 1];
-                if !w.is_infinite() {
-                    for k in (0..h).rev() {
-                        suf[k] = suf[k + 1]
-                            + if sig_lane(csig, k) > 0 {
-                                w * deltas[k]
-                            } else {
-                                0.0
-                            };
-                    }
-                }
-                let j_lo = if w.is_infinite() { h } else { 0 };
-                for j in j_lo..=h {
-                    for &(cursig, curcost) in &cur {
-                        // merge lanes 0..j (levels 1..=j stay connected)
-                        let mut merged = cursig;
-                        let mut ok = true;
-                        for k in 0..j {
-                            let m = sig_lane(cursig, k) + sig_lane(csig, k);
-                            if m > caps[k] {
-                                ok = false;
-                                break;
-                            }
-                            merged = sig_with_lane(merged, k, m);
-                        }
-                        if !ok {
-                            continue;
-                        }
-                        let cost = curcost + ccost + suf[j];
-                        match next.entry(merged) {
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                if cost < e.get().cost {
-                                    e.insert(Step {
-                                        cost,
-                                        prev: cursig,
-                                        child_sig: csig,
-                                        j: j as u8,
-                                    });
-                                }
-                            }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(Step {
-                                    cost,
-                                    prev: cursig,
-                                    child_sig: csig,
-                                    j: j as u8,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            if next.is_empty() {
-                return Err(HgpError::CapacityInfeasible); // infeasible below v
-            }
-            if prune {
-                let before = next.len();
-                pareto_prune(&mut next, h, &mut prune_entries, &mut prune_scratch);
-                pruned_entries += before - next.len();
-            }
-            table_entries += next.len();
-            cur = next.iter().map(|(&s, st)| (s, st.cost)).collect();
-            // deterministic order for reproducible tie-breaking downstream
-            cur.sort_unstable_by_key(|a| a.0);
-            node_steps.push(next);
-        }
-        finals[v] = cur;
-        steps[v] = node_steps;
-    }
-
-    // pick the best root signature (total_cmp: no NaN-unwrap on the hot
-    // reduction — costs are finite by construction, but a comparator that
-    // cannot panic keeps this boundary total)
-    let root = tree.root();
-    let (best_sig, best_cost) = match finals[root]
-        .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-    {
-        Some(&(s, c)) => (s, c),
-        None => return Err(HgpError::CapacityInfeasible),
-    };
-
-    // walk backpointers to label every edge
-    let mut cut_level = vec![h as u8; n];
-    let mut stack = vec![(root, best_sig)];
-    let root_signature = sig_unpack(best_sig, h);
-    while let Some((v, sig)) = stack.pop() {
-        if tree.is_leaf(v) {
-            continue;
-        }
-        let kids = tree.children(v);
-        let mut s = sig;
-        for i in (0..kids.len()).rev() {
-            let step = steps[v][i]
-                .get(&s)
-                .expect("backpointer chain must be complete");
-            let c = kids[i] as usize;
-            cut_level[c] = step.j;
-            stack.push((c, step.child_sig));
-            s = step.prev;
-        }
-        debug_assert_eq!(s, 0, "fold chain must start from the empty signature");
-    }
-
-    Ok(RelaxedSolution {
-        cut_level,
-        cost: best_cost,
-        root_signature,
-        table_entries,
-        pruned_entries,
-    })
-}
-
 /// Tables at or below this size skip dominance pruning: scanning a
 /// handful of entries next fold is cheaper than sorting and pruning
-/// them. Shared by both engines so the kept tables stay identical.
+/// them. The legacy test oracle restates this threshold and the `h ≥ 3`
+/// bound in [`prune_keep`], so both keep identical tables.
 const PRUNE_MIN_TABLE: usize = 9;
 
 /// Scratch buffers for [`prune_keep`], reused across folds so the hot
@@ -1113,30 +845,6 @@ fn fen_update(data: &mut [f64], i: usize, v: f64) {
             data[i] = v;
         }
         i += i & i.wrapping_neg();
-    }
-}
-
-/// Removes Pareto-dominated entries from a legacy hash table by routing
-/// through the shared [`prune_keep`] mask, so both engines keep byte-for-
-/// byte identical tables (including the small-table short-circuit).
-fn pareto_prune(
-    table: &mut FxMap<Step>,
-    h: usize,
-    entries: &mut Vec<(u64, f64)>,
-    scratch: &mut PruneScratch,
-) {
-    if table.len() <= PRUNE_MIN_TABLE {
-        return;
-    }
-    entries.clear();
-    entries.extend(table.iter().map(|(&s, st)| (s, st.cost)));
-    entries.sort_unstable_by_key(|e| e.0);
-    if let Some(keep) = prune_keep(entries, h, scratch) {
-        for (i, &(sig, _)) in entries.iter().enumerate() {
-            if !keep[i] {
-                table.remove(&sig);
-            }
-        }
     }
 }
 
@@ -1358,101 +1066,14 @@ mod tests {
         assert_eq!(sig_lanes(sig, 2).collect::<Vec<_>>(), vec![17, 0]);
     }
 
-    /// Builds a pseudo-random caterpillar/bushy tree and checks that the
-    /// arena and legacy engines return bit-identical results.
-    ///
-    /// `widen_caps` adds slack far beyond [`DENSE_MAX_BITS`] so the
-    /// arena engine takes the radix-merge fallback instead of the dense
-    /// direct-addressed strategy — both must match the legacy oracle.
-    fn parity_case_with(seed: u64, h: usize, widen_caps: u32) {
-        // tiny deterministic LCG so the case is reproducible
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move |m: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
-        let mut b = TreeBuilder::new_root();
-        let mut nodes = vec![0usize];
-        for _ in 0..24 {
-            let p = nodes[next(nodes.len() as u64) as usize];
-            let w = 0.5 + next(8) as f64;
-            nodes.push(b.add_child(p, w));
-        }
-        let t = b.build();
-        let mut units = vec![0u32; t.num_nodes()];
-        for v in 0..t.num_nodes() {
-            if t.is_leaf(v) {
-                units[v] = 1 + next(3) as u32;
-            }
-        }
-        let total: u32 = units.iter().sum();
-        let caps: Vec<u32> = (0..h)
-            .map(|k| (total / (1 + k as u32)).max(4) + widen_caps)
-            .collect();
-        if widen_caps > 0 {
-            assert!(
-                CkLayout::build(&caps, h).is_none(),
-                "widened caps must force the radix fallback"
-            );
-        }
-        let deltas: Vec<f64> = (0..h).map(|k| 1.0 + (h - k) as f64).collect();
-        for dominance_prune in [true, false] {
-            let arena = solve_relaxed_with(
-                &t,
-                &units,
-                &caps,
-                &deltas,
-                DpOptions {
-                    dominance_prune,
-                    legacy_engine: false,
-                },
-            );
-            let legacy = solve_relaxed_with(
-                &t,
-                &units,
-                &caps,
-                &deltas,
-                DpOptions {
-                    dominance_prune,
-                    legacy_engine: true,
-                },
-            );
-            match (arena, legacy) {
-                (Ok(a), Ok(l)) => {
-                    assert_eq!(a.cost.to_bits(), l.cost.to_bits(), "seed {seed} h {h}");
-                    assert_eq!(a.cut_level, l.cut_level, "seed {seed} h {h}");
-                    assert_eq!(a.root_signature, l.root_signature, "seed {seed} h {h}");
-                    assert_eq!(a.table_entries, l.table_entries, "seed {seed} h {h}");
-                    assert_eq!(a.pruned_entries, l.pruned_entries, "seed {seed} h {h}");
-                }
-                (Err(a), Err(l)) => assert_eq!(a, l, "seed {seed} h {h}"),
-                (a, l) => panic!("engines disagree on feasibility: {a:?} vs {l:?}"),
-            }
-        }
-    }
-
     #[test]
-    fn arena_matches_legacy_engine_bitwise() {
-        for seed in 0..12 {
-            for h in 1..=4 {
-                parity_case_with(seed, h, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn radix_fallback_matches_legacy_engine_bitwise() {
-        // caps wide enough that the compact-key layout overflows
-        // DENSE_MAX_BITS, exercising the radix merge. A single 16-bit
-        // lane always packs within the dense budget, so the fallback is
-        // only reachable at h ≥ 2. Wide caps disable most infeasibility
-        // pruning, so tables are large — keep the seed count small.
-        for seed in 0..3 {
-            for h in 2..=4 {
-                parity_case_with(seed, h, 40_000);
-            }
+    fn widened_parity_caps_force_the_radix_fallback() {
+        // the radix-fallback parity test in `tests/dp_exhaustive.rs`
+        // widens every cap to at least 40 004 units so the arena takes the
+        // radix merge; a compact key needs 17 bits per such lane, so two
+        // lanes already overflow DENSE_MAX_BITS (and wider caps only widen)
+        for h in 2..=4 {
+            assert!(CkLayout::build(&vec![40_004; h], h).is_none(), "h {h}");
         }
     }
 }

@@ -14,7 +14,6 @@
 //! order (cost ties broken by tree index), so the output is bit-identical
 //! for every [`Parallelism`] setting — see DESIGN.md §8.
 
-use crate::relaxed::DpOptions;
 use crate::tree_solver::{solve_rooted_traced, SolveError, TreeSolveReport};
 use crate::{Assignment, Instance, Rounding, ViolationReport};
 use hgp_decomp::{par_map_indexed, racke_distribution_par, DecompOpts, Distribution, Parallelism};
@@ -51,24 +50,21 @@ pub struct SolverOptions {
     pub parallelism: Parallelism,
     /// RNG seed (the whole pipeline is deterministic given this seed).
     pub seed: u64,
-    /// Signature-DP engine options (dominance pruning, engine choice).
-    pub dp: DpOptions,
     /// Capture a [`SolveTrace`] (stage timings, DP table/prune counts,
     /// spans) into the report. Observational only: it never changes the
-    /// solution and never feeds the solve fingerprint. Defaults off.
+    /// solution and never feeds the distribution fingerprint. Defaults off.
     pub trace: bool,
     /// Multilevel V-cycle front-end knobs (see the `hgp-multilevel`
     /// crate, which consumes them). Plain data here so every entry point
     /// — CLI flag, wire token, bench — can carry the request through
     /// [`SolverOptions`] without `hgp-core` depending on the driver.
-    /// Feeds the solve fingerprint; defaults to disabled, so existing
-    /// behaviour and cache keys are unchanged.
+    /// Defaults to disabled.
     pub multilevel: MultilevelOptions,
 }
 
 /// Knobs for the multilevel (coarsen → solve → uncoarsen + refine)
-/// front-end. `hgp-core` itself never reads them beyond fingerprinting:
-/// the V-cycle driver lives in `hgp-multilevel` and inspects
+/// front-end. `hgp-core` itself never reads them: the V-cycle driver
+/// lives in `hgp-multilevel` and inspects
 /// [`SolverOptions::multilevel`] on the options handed to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MultilevelOptions {
@@ -101,7 +97,6 @@ impl Default for SolverOptions {
             decomp: DecompOpts::default(),
             parallelism: Parallelism::Auto,
             seed: 0xC0FFEE,
-            dp: DpOptions::default(),
             trace: false,
             multilevel: MultilevelOptions::default(),
         }
@@ -171,12 +166,6 @@ impl SolverOptionsBuilder {
     /// Pipeline RNG seed.
     pub fn seed(mut self, s: u64) -> Self {
         self.opts.seed = s;
-        self
-    }
-
-    /// Signature-DP engine options.
-    pub fn dp(mut self, dp: DpOptions) -> Self {
-        self.opts.dp = dp;
         self
     }
 
@@ -328,7 +317,6 @@ fn solve_on_distribution_sink(
                 inst,
                 h,
                 opts.rounding,
-                opts.dp,
                 sink,
                 i as u64,
             )

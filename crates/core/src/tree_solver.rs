@@ -9,7 +9,7 @@
 //! equivalent to "partition all nodes".
 
 use crate::laminar::build_level_sets;
-use crate::relaxed::{solve_relaxed_with, DpOptions};
+use crate::relaxed::solve_relaxed;
 use crate::repair::{repair_assignment, RepairStats};
 use crate::{Assignment, Instance, Rounding, ViolationReport};
 use hgp_graph::traversal;
@@ -44,7 +44,7 @@ pub struct TreeSolveReport {
     /// Number of sets per level in the relaxed laminar family.
     pub level_set_counts: Vec<usize>,
     /// Wall-clock nanoseconds spent in the signature DP (rounding setup,
-    /// [`solve_relaxed_with`], laminar reconstruction). Diagnostic only —
+    /// [`solve_relaxed`], laminar reconstruction). Diagnostic only —
     /// feeds
     /// the `BENCH_solver.json` stage breakdown; never part of the solution.
     pub dp_nanos: u64,
@@ -52,7 +52,7 @@ pub struct TreeSolveReport {
     /// ([`repair_assignment`]). Diagnostic only, like
     /// [`TreeSolveReport::dp_nanos`].
     pub repair_nanos: u64,
-    /// Entries dropped by dominance pruning (0 with pruning off).
+    /// Entries dropped by dominance pruning.
     pub dp_pruned: usize,
     /// Structured profile of this solve, populated when the caller asked
     /// for tracing (`SolverOptions::trace` via the [`crate::Solve`]
@@ -71,34 +71,20 @@ pub fn solve_rooted(
     h: &Hierarchy,
     rounding: Rounding,
 ) -> Result<TreeSolveReport, SolveError> {
-    solve_rooted_with(tree, task_of_leaf, inst, h, rounding, DpOptions::default())
+    solve_rooted_traced(tree, task_of_leaf, inst, h, rounding, None, 0)
 }
 
-/// [`solve_rooted`] with explicit signature-DP engine options.
-pub fn solve_rooted_with(
-    tree: &RootedTree,
-    task_of_leaf: &[u32],
-    inst: &Instance,
-    h: &Hierarchy,
-    rounding: Rounding,
-    dp: DpOptions,
-) -> Result<TreeSolveReport, SolveError> {
-    solve_rooted_traced(tree, task_of_leaf, inst, h, rounding, dp, None, 0)
-}
-
-/// [`solve_rooted_with`] plus span capture: with a sink attached, the DP
+/// [`solve_rooted`] plus span capture: with a sink attached, the DP
 /// phase records a `tree.dp` span and repair a `tree.repair` span, both
 /// carrying `tree_idx` as their argument (the sweep over a distribution
 /// tags each tree's spans with its index). Tracing never changes the
 /// result.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_rooted_traced(
     tree: &RootedTree,
     task_of_leaf: &[u32],
     inst: &Instance,
     h: &Hierarchy,
     rounding: Rounding,
-    dp: DpOptions,
     sink: Option<&TraceSink>,
     tree_idx: u64,
 ) -> Result<TreeSolveReport, SolveError> {
@@ -129,7 +115,7 @@ pub(crate) fn solve_rooted_traced(
         .map(|k| h.cost_multiplier(k) - h.cost_multiplier(k + 1))
         .collect();
 
-    let relaxed = solve_relaxed_with(tree, &leaf_units, &caps, &deltas, dp)?;
+    let relaxed = solve_relaxed(tree, &leaf_units, &caps, &deltas)?;
     let level_sets = build_level_sets(tree, &relaxed.cut_level, h.height());
     debug_assert!(level_sets.check_laminar(tree.leaves().len()).is_ok());
     let dp_nanos = t_dp.elapsed().as_nanos() as u64;
@@ -216,15 +202,14 @@ pub(crate) fn solve_tree_shaped_impl(
     inst: &Instance,
     h: &Hierarchy,
     rounding: Rounding,
-    dp: DpOptions,
     trace: bool,
 ) -> Result<TreeSolveReport, SolveError> {
     let (tree, task_of_leaf) = rooted_with_dummies(inst)?;
     if !trace {
-        return solve_rooted_with(&tree, &task_of_leaf, inst, h, rounding, dp);
+        return solve_rooted(&tree, &task_of_leaf, inst, h, rounding);
     }
     let sink = TraceSink::new(crate::solver::SPAN_CAPACITY);
-    let mut rep = solve_rooted_traced(&tree, &task_of_leaf, inst, h, rounding, dp, Some(&sink), 0)?;
+    let mut rep = solve_rooted_traced(&tree, &task_of_leaf, inst, h, rounding, Some(&sink), 0)?;
     let mut tr = SolveTrace::new();
     tr.stage("dp", rep.dp_nanos);
     tr.stage("repair", rep.repair_nanos);

@@ -1,12 +1,15 @@
 //! Building a single decomposition tree by recursive balanced bisection.
+//!
+//! Every tree is built by [`build_decomp_tree_prescaled_with`], which
+//! runs each cluster's bisection through a reusable [`DecompScratch`].
+//! The allocating builder that predates the scratch is a test oracle in
+//! the root test tree (`tests/oracle/alloc_sampler.rs`), and
+//! `tests/determinism.rs` requires the two to build bit-identical trees.
 
-use hgp_graph::partition::{
-    fm_refine, multilevel_bisection, multilevel_bisection_with, BisectOpts, BisectScratch,
-    Bisection,
-};
+use hgp_graph::partition::{fm_refine, multilevel_bisection_with, BisectOpts, BisectScratch};
 use hgp_graph::spectral::{spectral_bisection, SpectralOpts};
 use hgp_graph::tree::RootedTree;
-use hgp_graph::{Graph, GraphBuilder, NodeId, SubgraphScratch};
+use hgp_graph::{Graph, NodeId, SubgraphScratch};
 use rand::Rng;
 
 /// Which bisection oracle drives the recursive decomposition
@@ -76,62 +79,6 @@ impl Default for DecompOpts {
     }
 }
 
-/// Runs the configured oracle on one cluster's induced subgraph.
-fn bisect_cluster<R: Rng + ?Sized>(
-    sub: &Graph,
-    sub_w: &[f64],
-    opts: &DecompOpts,
-    rng: &mut R,
-) -> Bisection {
-    match opts.oracle {
-        CutOracle::Multilevel => multilevel_bisection(sub, sub_w, &opts.bisect, rng),
-        CutOracle::Spectral => {
-            let mut side = spectral_bisection(
-                sub,
-                sub_w,
-                &SpectralOpts {
-                    target0_frac: opts.bisect.target0_frac,
-                    ..Default::default()
-                },
-            );
-            if !opts.bisect.no_refine {
-                let total: f64 = sub_w.iter().sum();
-                let cap = 0.5 * total * (1.0 + opts.bisect.eps);
-                fm_refine(sub, sub_w, &mut side, cap, cap, opts.bisect.fm_passes);
-            }
-            let cut = sub.cut_weight(&side);
-            let mut w0 = 0.0;
-            let mut w1 = 0.0;
-            for (v, &s) in side.iter().enumerate() {
-                if s {
-                    w1 += sub_w[v];
-                } else {
-                    w0 += sub_w[v];
-                }
-            }
-            Bisection {
-                side,
-                cut,
-                weight0: w0,
-                weight1: w1,
-            }
-        }
-    }
-}
-
-/// Builds the MWU length-scaled bisection graph `w(e) · scale(e)` as one
-/// fresh [`Graph`]. The distribution builder calls this **once per wave**
-/// and shares the result across every tree of the wave (they all bisect
-/// against the same length snapshot), instead of each tree rebuilding it.
-pub fn scale_graph(g: &Graph, edge_scale: &[f64]) -> Graph {
-    assert_eq!(edge_scale.len(), g.num_edges());
-    let mut b = GraphBuilder::new(g.num_nodes());
-    for (e, u, v, w) in g.edges() {
-        b.add_edge(u, v, w * edge_scale[e.index()]);
-    }
-    b.build()
-}
-
 /// Reusable arena for [`build_decomp_tree_prescaled_with`]: every buffer
 /// the recursive tree builder needs, including the multilevel bisection
 /// ladder, so that building a tree in steady state costs only the
@@ -139,12 +86,11 @@ pub fn scale_graph(g: &Graph, edge_scale: &[f64]) -> Graph {
 ///
 /// One scratch serves any number of sequential builds over graphs of any
 /// size (buffers grow to the high-water mark and stay). A scratch is an
-/// *allocation* cache, never a *value* cache: results are bit-identical to
-/// the allocating [`build_decomp_tree_prescaled`] regardless of what was
-/// built through the scratch before — pinned by the determinism property
-/// tests in `distribution.rs`.
+/// *allocation* cache, never a *value* cache: a build returns the same
+/// tree whatever was built through the scratch before — pinned by the
+/// scratch-reuse test in `tests/determinism.rs`.
 #[derive(Debug, Default)]
-pub struct DecompScratch {
+pub(crate) struct DecompScratch {
     sub: SubgraphScratch,
     sub_w: Vec<f64>,
     side_buf: Vec<u32>,
@@ -157,15 +103,14 @@ pub struct DecompScratch {
 
 impl DecompScratch {
     /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
 
 /// Runs the configured oracle on one cluster's induced subgraph, leaving
-/// the chosen side in `side`. Bit-identical (same side, same RNG draws) to
-/// [`bisect_cluster`] — the builder only consumes the side, so the
-/// reference path's cut/weight stats are pure outputs this variant skips.
+/// the chosen side in `side`. The builder consumes only the side, so the
+/// cut and side weights of a full `Bisection` are not computed.
 fn bisect_cluster_with<R: Rng + ?Sized>(
     sub: &Graph,
     sub_w: &[f64],
@@ -198,10 +143,20 @@ fn bisect_cluster_with<R: Rng + ?Sized>(
     }
 }
 
-/// [`build_decomp_tree_prescaled`] through a reusable [`DecompScratch`]:
-/// same tree, same RNG draws, no per-cluster allocations. This is the
-/// distribution sampler's hot path.
-pub fn build_decomp_tree_prescaled_with<R: Rng + ?Sized>(
+/// Core tree builder over an already-scaled bisection graph: `scaled` must
+/// have the same node count and edge set as `g` (only the weights may
+/// differ — pass `g` itself when no MWU scaling applies). Bisections run
+/// on `scaled`; tree-edge weights always come from `g`.
+///
+/// The recursion is allocation-free in steady state: cluster membership
+/// lives in one arena partitioned in place (each side keeps ascending node
+/// order, so the induced-subgraph extraction never sorts), every buffer
+/// lives in `scratch`, and both children's boundary weights come from a
+/// single marking pass. This is the distribution sampler's hot path.
+///
+/// # Panics
+/// Panics if `g` is empty or slice lengths disagree.
+pub(crate) fn build_decomp_tree_prescaled_with<R: Rng + ?Sized>(
     g: &Graph,
     scaled: &Graph,
     node_w: &[f64],
@@ -327,127 +282,15 @@ pub fn build_decomp_tree<R: Rng + ?Sized>(
     opts: &DecompOpts,
     rng: &mut R,
 ) -> DecompTree {
+    let mut scratch = DecompScratch::new();
     match edge_scale {
-        None => build_decomp_tree_prescaled(g, g, node_w, opts, rng),
+        None => build_decomp_tree_prescaled_with(g, g, node_w, opts, rng, &mut scratch),
         Some(s) => {
-            let scaled = scale_graph(g, s);
-            build_decomp_tree_prescaled(g, &scaled, node_w, opts, rng)
+            let mut scaled = Graph::default();
+            g.rescale_into(s, &mut scaled);
+            build_decomp_tree_prescaled_with(g, &scaled, node_w, opts, rng, &mut scratch)
         }
     }
-}
-
-/// Core tree builder over an already-scaled bisection graph: `scaled` must
-/// have the same node count and edge set as `g` (only the weights may
-/// differ — pass `g` itself when no MWU scaling applies). Bisections run
-/// on `scaled`; tree-edge weights always come from `g`.
-///
-/// The recursion is allocation-free in steady state: cluster membership
-/// lives in one arena partitioned in place (each side keeps ascending node
-/// order, so the induced-subgraph extraction never sorts), the subgraph CSR
-/// and balance-weight buffers are reused across `bisect_cluster` calls, and
-/// both children's boundary weights come from a single marking pass.
-///
-/// # Panics
-/// Panics if `g` is empty or slice lengths disagree.
-pub fn build_decomp_tree_prescaled<R: Rng + ?Sized>(
-    g: &Graph,
-    scaled: &Graph,
-    node_w: &[f64],
-    opts: &DecompOpts,
-    rng: &mut R,
-) -> DecompTree {
-    let n = g.num_nodes();
-    assert!(n >= 1, "cannot decompose the empty graph");
-    assert_eq!(node_w.len(), n);
-    assert_eq!(scaled.num_nodes(), n);
-    assert_eq!(scaled.num_edges(), g.num_edges());
-
-    let mut parent: Vec<u32> = vec![0];
-    let mut weight: Vec<f64> = vec![0.0];
-    let mut task_of_leaf: Vec<u32> = vec![u32::MAX];
-
-    // members arena: every cluster is a contiguous ascending range of this
-    // vector, identified on the stack by (tree node id, lo, hi)
-    let mut members: Vec<u32> = (0..n as u32).collect();
-    let mut stack: Vec<(usize, usize, usize)> = vec![(0, 0, n)];
-
-    // scratch reused across every cluster of the recursion
-    let mut sub_scratch = SubgraphScratch::new();
-    let mut sub_w: Vec<f64> = Vec::new();
-    let mut side_buf: Vec<u32> = Vec::new();
-    let mut mark: Vec<u8> = vec![0; n]; // 0 = outside cluster, 1 = side 0, 2 = side 1
-
-    while let Some((id, lo, hi)) = stack.pop() {
-        if hi - lo == 1 {
-            task_of_leaf[id] = members[lo];
-            continue;
-        }
-        // bisect the cluster on the scaled graph
-        scaled.induced_subgraph_into(&members[lo..hi], &mut sub_scratch);
-        sub_w.clear();
-        sub_w.extend(sub_scratch.map().iter().map(|v| node_w[v.index()]));
-        let bis = bisect_cluster(sub_scratch.graph(), &sub_w, opts, rng);
-
-        // stable in-place partition: side-0 members compact to the front,
-        // side-1 members go to the back, both keeping ascending order (the
-        // write cursor never overtakes the read index)
-        side_buf.clear();
-        let mut w = lo;
-        for (i, &s) in bis.side.iter().enumerate() {
-            let v = members[lo + i];
-            if s {
-                side_buf.push(v);
-            } else {
-                members[w] = v;
-                w += 1;
-            }
-        }
-        members[w..hi].copy_from_slice(&side_buf);
-        let mut mid = w;
-        // degenerate bisection (can happen on tiny/odd clusters): the range
-        // is untouched — still ascending — so force an even split at the
-        // midpoint, exactly the legacy sort-then-halve behaviour
-        if mid == lo || mid == hi {
-            mid = lo + (hi - lo) / 2;
-        }
-
-        // boundary weights of both sides from one marking pass over `g`;
-        // per side, additions run in ascending-member adjacency order, the
-        // same float order as a per-side recomputation
-        for &v in &members[lo..mid] {
-            mark[v as usize] = 1;
-        }
-        for &v in &members[mid..hi] {
-            mark[v as usize] = 2;
-        }
-        let mut bw = [0.0f64; 2];
-        for (side_ix, range) in [(0usize, lo..mid), (1usize, mid..hi)] {
-            let own = side_ix as u8 + 1;
-            let mut acc = 0.0;
-            for &v in &members[range] {
-                for (u, wt, _) in g.neighbors(NodeId(v)) {
-                    if mark[u.index()] != own {
-                        acc += wt;
-                    }
-                }
-            }
-            bw[side_ix] = acc;
-        }
-        for &v in &members[lo..hi] {
-            mark[v as usize] = 0;
-        }
-
-        for (side_ix, (slo, shi)) in [(0usize, (lo, mid)), (1, (mid, hi))] {
-            let child = parent.len();
-            parent.push(id as u32);
-            weight.push(bw[side_ix]);
-            task_of_leaf.push(u32::MAX);
-            stack.push((child, slo, shi));
-        }
-    }
-
-    let tree = RootedTree::from_parents(0, parent, weight);
-    DecompTree { tree, task_of_leaf }
 }
 
 #[cfg(test)]
@@ -558,7 +401,7 @@ mod tests {
 
     #[test]
     fn unit_edge_scale_is_bitwise_equivalent_to_none() {
-        // scale 1.0 goes through scale_graph + the prescaled path with a
+        // scale 1.0 goes through rescale_into + the prescaled path with a
         // rebuilt graph; None passes `g` itself. `w * 1.0 == w` bitwise, so
         // every bisection, RNG draw and boundary sum must coincide exactly.
         let mut rng = StdRng::seed_from_u64(9);

@@ -1,11 +1,14 @@
 //! Distributions of decomposition trees via multiplicative weights over
 //! measured congestion — the practical stand-in for Theorem 6.
+//!
+//! Every entry point samples through [`racke_distribution_par`]. The
+//! allocating sampler that predates its scratch arenas is a test oracle
+//! in the root test tree (`tests/oracle/alloc_sampler.rs`), and
+//! `tests/determinism.rs` requires the two to sample bit-identical
+//! distributions.
 
-use crate::build::{
-    build_decomp_tree_prescaled, build_decomp_tree_prescaled_with, scale_graph, DecompOpts,
-    DecompScratch, DecompTree,
-};
-use crate::parallel::{par_map_indexed, par_map_indexed_scratch, Parallelism};
+use crate::build::{build_decomp_tree_prescaled_with, DecompOpts, DecompScratch, DecompTree};
+use crate::parallel::{par_map_indexed_scratch, Parallelism};
 use hgp_graph::tree::LcaIndex;
 use hgp_graph::Graph;
 use hgp_obs::{names, span, TraceSink, NO_PARENT};
@@ -93,10 +96,9 @@ pub fn racke_distribution<R: Rng + ?Sized>(
 /// Determinism: `rng` is consumed only to derive one seed per tree, up
 /// front; tree `i` is then built from its own `StdRng` stream. Together
 /// with the fixed wave schedule (which never depends on `par`) and the
-/// index-ordered reduction of [`par_map_indexed`], the returned
-/// distribution is **bit-identical for every `par`** — thread count is a
-/// throughput knob, never a semantic one. It is also bit-identical to
-/// [`racke_distribution_ref`], the allocating pre-scratch pipeline.
+/// index-ordered reduction of [`par_map_indexed`](crate::par_map_indexed),
+/// the returned distribution is **bit-identical for every `par`** — thread
+/// count is a throughput knob, never a semantic one.
 ///
 /// Span capture: when `sink` is attached, each MWU wave records a
 /// [`names::DECOMP_WAVE`] span (`arg` = index of the first tree in the
@@ -187,72 +189,6 @@ pub fn racke_distribution_par<R: Rng + ?Sized>(
     }
 }
 
-/// The allocating pre-scratch sampling pipeline, kept verbatim as the
-/// reference arm: every wave rebuilds the scaled graph through a fresh
-/// [`GraphBuilder`](hgp_graph::GraphBuilder) and every tree build allocates
-/// its own buffers.
-///
-/// [`racke_distribution_par`] is **bit-identical** to this function —
-/// pinned by the `scratch_reuse_is_bit_identical_…` property test — and
-/// `bench_solver`'s before/after distribution arm times the two against
-/// each other.
-pub fn racke_distribution_ref<R: Rng + ?Sized>(
-    g: &Graph,
-    node_w: &[f64],
-    num_trees: usize,
-    opts: &DecompOpts,
-    par: Parallelism,
-    rng: &mut R,
-) -> Distribution {
-    if num_trees == 0 {
-        return Distribution {
-            trees: Vec::new(),
-            lambdas: Vec::new(),
-        };
-    }
-    let seeds: Vec<u64> = (0..num_trees).map(|_| rng.gen()).collect();
-    let wave = opts.mwu_wave.max(1);
-    let mut lengths = vec![1.0f64; g.num_edges()];
-    let mut trees = Vec::with_capacity(num_trees);
-    let mut start = 0;
-    let mut scaled_store: Option<Graph>;
-    while start < num_trees {
-        let end = (start + wave).min(num_trees);
-        let scaled: &Graph = if start == 0 {
-            g
-        } else {
-            scaled_store = Some(scale_graph(g, &lengths));
-            scaled_store.as_ref().unwrap()
-        };
-        let built = par_map_indexed(par, end - start, |k| {
-            let mut tree_rng = StdRng::seed_from_u64(seeds[start + k]);
-            let dt = build_decomp_tree_prescaled(g, scaled, node_w, opts, &mut tree_rng);
-            let congestion = hop_congestion(&dt, g);
-            (dt, congestion)
-        });
-        for (dt, (per_edge, stats)) in built {
-            if stats.max > 0.0 {
-                for (len, c) in lengths.iter_mut().zip(&per_edge) {
-                    *len *= 1.0 + ETA * c / stats.max;
-                }
-                let mean: f64 = lengths.iter().sum::<f64>() / lengths.len() as f64;
-                if mean > 0.0 {
-                    for len in lengths.iter_mut() {
-                        *len /= mean;
-                    }
-                }
-            }
-            trees.push(dt);
-        }
-        start = end;
-    }
-    let p = trees.len();
-    Distribution {
-        trees,
-        lambdas: vec![1.0 / p as f64; p],
-    }
-}
-
 impl Distribution {
     /// Expected (λ-weighted) average congestion across the distribution.
     pub fn expected_congestion(&self, g: &Graph) -> f64 {
@@ -319,24 +255,13 @@ mod tests {
 
     #[test]
     fn zero_trees_yields_the_empty_distribution() {
-        // trees = 0 must come back well-formed (no trees, no lambdas) from
-        // both the scratch pipeline and the allocating reference — not
-        // panic, not a λ-less tree list
+        // trees = 0 must come back well-formed (no trees, no lambdas) —
+        // not panic, not a λ-less tree list
         let mut rng = StdRng::seed_from_u64(21);
         let g = generators::gnp_connected(&mut rng, 10, 0.3, 1.0, 2.0);
         let d = racke_distribution(&g, &[1.0; 10], 0, &DecompOpts::default(), &mut rng);
         assert!(d.trees.is_empty());
         assert!(d.lambdas.is_empty());
-        let r = racke_distribution_ref(
-            &g,
-            &[1.0; 10],
-            0,
-            &DecompOpts::default(),
-            Parallelism::serial(),
-            &mut rng,
-        );
-        assert!(r.trees.is_empty());
-        assert!(r.lambdas.is_empty());
     }
 
     #[test]
@@ -424,46 +349,6 @@ mod tests {
             let d = build(par);
             assert_eq!(d.lambdas, serial.lambdas);
             assert_distributions_bit_identical(&d, &serial);
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_is_bit_identical_to_allocating_reference() {
-        // the satellite-5 property sweep: the scratch pipeline must equal
-        // the pre-scratch allocating reference bit for bit, across seeds ×
-        // wave widths × thread widths, with ONE long-lived scratch set (the
-        // default path reuses its arenas across all of these builds)
-        let mut rng = StdRng::seed_from_u64(31);
-        let g = generators::gnp_connected(&mut rng, 30, 0.2, 0.5, 2.0);
-        let w = vec![1.0; 30];
-        for seed in [11u64, 12, 13] {
-            for wave in [1usize, 2, 5] {
-                let opts = DecompOpts {
-                    mwu_wave: wave,
-                    ..Default::default()
-                };
-                let mut r_ref = StdRng::seed_from_u64(seed);
-                let want =
-                    racke_distribution_ref(&g, &w, 6, &opts, Parallelism::serial(), &mut r_ref);
-                for width in [1usize, 2, 3] {
-                    let mut r = StdRng::seed_from_u64(seed);
-                    let got = racke_distribution_par(
-                        &g,
-                        &w,
-                        6,
-                        &opts,
-                        Parallelism::Fixed(width),
-                        &mut r,
-                        None,
-                    );
-                    assert_distributions_bit_identical(&got, &want);
-                    // and the caller-visible RNG must be in the same state
-                    assert_eq!(r.gen::<u64>(), {
-                        let mut rr = r_ref.clone();
-                        rr.gen::<u64>()
-                    });
-                }
-            }
         }
     }
 

@@ -31,12 +31,8 @@ mod build;
 mod distribution;
 mod parallel;
 
-pub use build::{
-    build_decomp_tree, build_decomp_tree_prescaled, build_decomp_tree_prescaled_with, scale_graph,
-    CutOracle, DecompOpts, DecompScratch, DecompTree,
-};
+pub use build::{build_decomp_tree, CutOracle, DecompOpts, DecompTree};
 pub use distribution::{
-    hop_congestion, racke_distribution, racke_distribution_par, racke_distribution_ref,
-    CongestionStats, Distribution,
+    hop_congestion, racke_distribution, racke_distribution_par, CongestionStats, Distribution,
 };
-pub use parallel::{par_map_indexed, par_map_indexed_scratch, Parallelism};
+pub use parallel::{par_map_indexed, Parallelism};

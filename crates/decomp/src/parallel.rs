@@ -159,7 +159,7 @@ where
 /// Panics if `scratches` has fewer than [`Parallelism::workers`] elements
 /// (or is empty with `n > 0`). Worker panics re-raise with their original
 /// payload, exactly like [`par_map_indexed`].
-pub fn par_map_indexed_scratch<T, S, F>(
+pub(crate) fn par_map_indexed_scratch<T, S, F>(
     par: Parallelism,
     n: usize,
     scratches: &mut [S],

@@ -5,7 +5,7 @@
 //! non-blocking, each with its own read/write buffers and newline
 //! framing. Parsed requests go through the same
 //! [`crate::server::route_inline`] router as the legacy front end:
-//! `stats`, `stats2`, `place-incremental`, `shutdown`, and every error
+//! `stats2`, `place-incremental`, `shutdown`, and every error
 //! are answered inline by this thread (so metrics stay readable even
 //! with the solver pool saturated), while `solve` is dispatched into the
 //! bounded pool with a completion-queue reply sink. Workers push the
@@ -17,7 +17,7 @@
 //! The wire contract is one reply per line, in order. Each connection
 //! keeps an ordered queue of reply slots: inline replies are born ready,
 //! solves start pending and are fulfilled by worker completions. Only
-//! the ready *prefix* is flushed, so a fast `stats` pipelined behind a
+//! the ready *prefix* is flushed, so a fast `stats2` pipelined behind a
 //! slow `solve` on the same connection still waits its turn (order is
 //! part of the protocol), while on separate connections it is answered
 //! immediately — monitoring traffic should use its own connection.

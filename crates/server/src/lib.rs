@@ -8,7 +8,7 @@
 //!
 //! * [`protocol`] — a newline-delimited text protocol over TCP
 //!   (`solve` with an opt-in `trace=1` profile, `place-incremental`,
-//!   `stats`, the versioned `stats2`, `shutdown`);
+//!   the versioned `stats2`, `shutdown`);
 //! * [`pool`] — a bounded solver pool: admission control via
 //!   `overloaded`, per-request deadlines with graceful degradation to the
 //!   `hgp-baselines` k-way + refine path (replies tagged `degraded=1`);
@@ -19,7 +19,7 @@
 //!   churn (typed `mutate` batches, bounded-churn `resolve`), with
 //!   wire-safe validation;
 //! * [`metrics`] — typed `hgp-obs` counters, gauges and histograms in a
-//!   registry behind `stats` (legacy names) and `stats2` (versioned);
+//!   registry behind `stats2` (versioned);
 //! * [`flight`] — single-flight coalescing: concurrent solves sharing a
 //!   distribution fingerprint join one in-flight build (leader builds,
 //!   followers park and reuse, replies tagged `cache=shared`);

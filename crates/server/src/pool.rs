@@ -26,7 +26,8 @@
 //! these). As a second line of defence a supervisor thread polls the
 //! worker handles and respawns any thread that died anyway — a bug that
 //! slips past the isolation boundary costs one request, never a pool slot.
-//! `workers-alive` / `worker-deaths` in `stats` expose both layers.
+//! `pool.workers-alive` / `pool.worker-deaths` in `stats2` expose both
+//! layers.
 //!
 //! # Single-flight coalescing
 //!
@@ -50,10 +51,8 @@ use hgp_baselines::kway::{kway_partition, KwayOpts};
 use hgp_baselines::refine::{refine, RefineOpts};
 use hgp_core::fingerprint::distribution_fingerprint;
 use hgp_core::solver::SolverOptions;
-use hgp_core::tree_solver::solve_rooted_with;
-use hgp_core::{
-    Assignment, DpOptions, HgpError, MultilevelOptions, Parallelism, Solve, SolveTrace,
-};
+use hgp_core::tree_solver::solve_rooted;
+use hgp_core::{Assignment, HgpError, MultilevelOptions, Parallelism, Solve, SolveTrace};
 use hgp_decomp::{par_map_indexed, Distribution};
 use hgp_multilevel::solve_multilevel;
 use rand::rngs::StdRng;
@@ -151,8 +150,6 @@ struct WorkerCtx {
     /// Worker width each solve may fan its tree sampling / per-tree DPs
     /// across (never affects the answer — see DESIGN.md §8).
     parallelism: Parallelism,
-    /// Signature-DP engine options applied to every solve.
-    dp: DpOptions,
     /// In-flight cold distribution builds, shared across workers so
     /// concurrent same-fingerprint solves coalesce onto one build.
     flights: Arc<FlightGroup<Arc<Distribution>>>,
@@ -234,7 +231,6 @@ impl SolverPool {
         workers: usize,
         queue_capacity: usize,
         parallelism: Parallelism,
-        dp: DpOptions,
         cache: Arc<DecompCache>,
         metrics: Arc<Metrics>,
     ) -> Self {
@@ -245,7 +241,6 @@ impl SolverPool {
             metrics: Arc::clone(&metrics),
             stop: Arc::new(AtomicBool::new(false)),
             parallelism,
-            dp,
             flights: Arc::new(FlightGroup::new()),
         };
         let count = workers.max(1);
@@ -451,7 +446,6 @@ fn solve_inner(
         .units(spec.units)
         .threads(ctx.parallelism)
         .seed(spec.seed)
-        .dp(ctx.dp)
         .trace(spec.trace)
         .multilevel(MultilevelOptions {
             enabled: spec.multilevel,
@@ -500,7 +494,7 @@ fn solve_inner(
                 let end = (solved + opts.parallelism.workers(total - solved)).min(total);
                 let outcomes = par_map_indexed(opts.parallelism, end - solved, |k| {
                     let dt = &dist.trees[solved + k];
-                    solve_rooted_with(&dt.tree, &dt.task_of_leaf, &inst, h, opts.rounding, opts.dp)
+                    solve_rooted(&dt.tree, &dt.task_of_leaf, &inst, h, opts.rounding)
                         .ok()
                         .map(|rep| {
                             // map back to G and score by true Equation-1 cost
@@ -673,7 +667,6 @@ mod tests {
                 2,
                 4,
                 Parallelism::serial(),
-                DpOptions::default(),
                 Arc::clone(&cache),
                 Arc::clone(&metrics),
             ),
@@ -772,14 +765,7 @@ mod tests {
         let cache = Arc::new(DecompCache::new(2));
         let metrics = Arc::new(Metrics::new());
         // one slow worker, queue of 1: the third submit must bounce
-        let pool = SolverPool::new(
-            1,
-            1,
-            Parallelism::serial(),
-            DpOptions::default(),
-            cache,
-            metrics,
-        );
+        let pool = SolverPool::new(1, 1, Parallelism::serial(), cache, metrics);
         let (tx, _rx) = mpsc::channel();
         let now = Instant::now();
         let mut rejected = 0;
@@ -801,7 +787,7 @@ mod tests {
         let reply_with = |par: Parallelism| {
             let cache = Arc::new(DecompCache::new(2));
             let metrics = Arc::new(Metrics::new());
-            let pool = SolverPool::new(1, 4, par, DpOptions::default(), cache, metrics);
+            let pool = SolverPool::new(1, 4, par, cache, metrics);
             run(&pool, solve_spec(&line), None)
         };
         let serial = reply_with(Parallelism::serial());
@@ -824,14 +810,7 @@ mod tests {
     fn supervisor_respawns_crashed_workers() {
         let cache = Arc::new(DecompCache::new(2));
         let metrics = Arc::new(Metrics::new());
-        let pool = SolverPool::new(
-            2,
-            4,
-            Parallelism::serial(),
-            DpOptions::default(),
-            cache,
-            Arc::clone(&metrics),
-        );
+        let pool = SolverPool::new(2, 4, Parallelism::serial(), cache, Arc::clone(&metrics));
         assert_eq!(metrics.workers_alive.get(), 2);
 
         // kill one worker outright (bypasses the isolation boundary)
@@ -865,14 +844,7 @@ mod tests {
     fn panicking_solve_is_isolated_to_err_internal() {
         let cache = Arc::new(DecompCache::new(2));
         let metrics = Arc::new(Metrics::new());
-        let pool = SolverPool::new(
-            1,
-            4,
-            Parallelism::serial(),
-            DpOptions::default(),
-            cache,
-            Arc::clone(&metrics),
-        );
+        let pool = SolverPool::new(1, 4, Parallelism::serial(), cache, Arc::clone(&metrics));
 
         // a panic inside the boundary answers `err internal` ...
         let (tx, rx) = mpsc::channel();
@@ -902,7 +874,6 @@ mod tests {
             CLIENTS,
             CLIENTS,
             Parallelism::serial(),
-            DpOptions::default(),
             cache,
             Arc::clone(&metrics),
         );
@@ -962,14 +933,7 @@ mod tests {
     fn leader_panic_in_build_unparks_followers_with_err_internal() {
         let cache = Arc::new(DecompCache::new(8));
         let metrics = Arc::new(Metrics::new());
-        let pool = SolverPool::new(
-            4,
-            8,
-            Parallelism::serial(),
-            DpOptions::default(),
-            cache,
-            Arc::clone(&metrics),
-        );
+        let pool = SolverPool::new(4, 8, Parallelism::serial(), cache, Arc::clone(&metrics));
         // the poisoned job wins leadership first (idle pool), then panics
         // inside the build after a grace period the followers use to park
         let (ltx, lrx) = mpsc::channel();

@@ -46,9 +46,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Maximum concurrently open incremental sessions.
     pub max_sessions: usize,
-    /// Signature-DP engine options applied to every solve
-    /// (`hgp serve --no-prune` disables dominance pruning).
-    pub dp: hgp_core::DpOptions,
     /// Use the legacy thread-per-connection front end instead of the
     /// event-driven readiness loop (`hgp serve --legacy-threads`). The
     /// wire protocol is byte-identical either way; legacy mode caps
@@ -66,7 +63,6 @@ impl Default for ServerConfig {
             parallelism: hgp_core::Parallelism::Auto,
             cache_capacity: 32,
             max_sessions: 256,
-            dp: hgp_core::DpOptions::default(),
             legacy_threads: false,
         }
     }
@@ -138,12 +134,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets the signature-DP engine options applied to every solve.
-    pub fn dp(mut self, dp: hgp_core::DpOptions) -> Self {
-        self.config.dp = dp;
-        self
-    }
-
     /// Selects the legacy thread-per-connection front end.
     pub fn legacy_threads(mut self, legacy: bool) -> Self {
         self.config.legacy_threads = legacy;
@@ -212,7 +202,6 @@ impl Server {
             config.workers,
             config.queue_capacity,
             config.parallelism,
-            config.dp,
             Arc::clone(&cache),
             Arc::clone(&metrics),
         );

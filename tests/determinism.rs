@@ -1,12 +1,42 @@
-//! Determinism: every pipeline stage is bit-reproducible from its seed.
+//! Determinism: every pipeline stage is bit-reproducible from its seed,
+//! and the scratch-arena tree builder and sampler reproduce the
+//! allocating reference ones (`oracle/alloc_sampler.rs`) bit for bit.
+
+mod oracle;
 
 use hgp::core::solver::SolverOptions;
 use hgp::core::{Instance, Parallelism, Solve};
-use hgp::decomp::{build_decomp_tree, racke_distribution, DecompOpts};
+use hgp::decomp::{
+    build_decomp_tree, racke_distribution, racke_distribution_par, CutOracle, DecompOpts,
+    DecompTree, Distribution,
+};
 use hgp::graph::generators;
 use hgp::hierarchy::presets;
+use oracle::alloc_sampler::{build_decomp_tree_prescaled, racke_distribution_ref, scale_graph};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+fn assert_trees_bit_identical(x: &DecompTree, y: &DecompTree) {
+    assert_eq!(x.task_of_leaf, y.task_of_leaf);
+    assert_eq!(x.tree.num_nodes(), y.tree.num_nodes());
+    for v in 0..x.tree.num_nodes() {
+        assert_eq!(x.tree.children(v), y.tree.children(v));
+        assert_eq!(
+            x.tree.edge_weight(v).to_bits(),
+            y.tree.edge_weight(v).to_bits()
+        );
+    }
+}
+
+fn assert_distributions_bit_identical(a: &Distribution, b: &Distribution) {
+    assert_eq!(a.trees.len(), b.trees.len());
+    for (la, lb) in a.lambdas.iter().zip(&b.lambdas) {
+        assert_eq!(la.to_bits(), lb.to_bits());
+    }
+    for (x, y) in a.trees.iter().zip(&b.trees) {
+        assert_trees_bit_identical(x, y);
+    }
+}
 
 #[test]
 fn decomposition_trees_are_seed_stable() {
@@ -123,4 +153,92 @@ fn tracing_does_not_change_the_solution() {
     );
     assert!(trace.stage_nanos("distribution").is_some());
     assert!(trace.stage_nanos("sweep").is_some());
+}
+
+#[test]
+fn decomposition_trees_match_the_allocating_builder() {
+    // build_decomp_tree runs the scratch builder (and, with an edge
+    // scale, Graph::rescale_into); both cut oracles must reproduce the
+    // allocating builder's tree and consume the same RNG draws
+    let mut r = StdRng::seed_from_u64(36);
+    let g = generators::gnp_connected(&mut r, 30, 0.2, 0.5, 2.0);
+    let w: Vec<f64> = (0..30).map(|v| 0.5 + (v % 3) as f64 / 4.0).collect();
+    let scale: Vec<f64> = (0..g.num_edges())
+        .map(|e| 0.5 + (e % 7) as f64 / 4.0)
+        .collect();
+    for oracle in [CutOracle::Multilevel, CutOracle::Spectral] {
+        let opts = DecompOpts {
+            oracle,
+            ..Default::default()
+        };
+        for edge_scale in [None, Some(scale.as_slice())] {
+            let mut r_got = StdRng::seed_from_u64(5);
+            let got = build_decomp_tree(&g, &w, edge_scale, &opts, &mut r_got);
+            let scaled = match edge_scale {
+                None => g.clone(),
+                Some(s) => scale_graph(&g, s),
+            };
+            let mut r_want = StdRng::seed_from_u64(5);
+            let want = build_decomp_tree_prescaled(&g, &scaled, &w, &opts, &mut r_want);
+            assert_trees_bit_identical(&got, &want);
+            assert_eq!(r_got.gen::<u64>(), r_want.gen::<u64>());
+        }
+    }
+}
+
+#[test]
+fn scratch_reuse_is_bit_identical_to_allocating_reference() {
+    // the scratch pipeline must equal the pre-scratch allocating
+    // reference bit for bit, across seeds × wave widths × thread widths,
+    // with ONE long-lived scratch set (the default path reuses its arenas
+    // across all of these builds)
+    let mut rng = StdRng::seed_from_u64(31);
+    let g = generators::gnp_connected(&mut rng, 30, 0.2, 0.5, 2.0);
+    let w = vec![1.0; 30];
+    for seed in [11u64, 12, 13] {
+        for wave in [1usize, 2, 5] {
+            let opts = DecompOpts {
+                mwu_wave: wave,
+                ..Default::default()
+            };
+            let mut r_ref = StdRng::seed_from_u64(seed);
+            let want = racke_distribution_ref(&g, &w, 6, &opts, Parallelism::serial(), &mut r_ref);
+            for width in [1usize, 2, 3] {
+                let mut r = StdRng::seed_from_u64(seed);
+                let got = racke_distribution_par(
+                    &g,
+                    &w,
+                    6,
+                    &opts,
+                    Parallelism::Fixed(width),
+                    &mut r,
+                    None,
+                );
+                assert_distributions_bit_identical(&got, &want);
+                // and the caller-visible RNG must be in the same state
+                assert_eq!(r.gen::<u64>(), {
+                    let mut rr = r_ref.clone();
+                    rr.gen::<u64>()
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_trees_yields_the_empty_distribution() {
+    // trees = 0 comes back well-formed (no trees, no lambdas) from the
+    // allocating reference too, as it does from the production sampler
+    let mut rng = StdRng::seed_from_u64(21);
+    let g = generators::gnp_connected(&mut rng, 10, 0.3, 1.0, 2.0);
+    let r = racke_distribution_ref(
+        &g,
+        &[1.0; 10],
+        0,
+        &DecompOpts::default(),
+        Parallelism::serial(),
+        &mut rng,
+    );
+    assert!(r.trees.is_empty());
+    assert!(r.lambdas.is_empty());
 }

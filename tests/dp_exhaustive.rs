@@ -1,11 +1,15 @@
 //! Exhaustive verification of the relaxed DP (Theorem 4): on small random
 //! trees, enumerate *every* edge labelling, compute its certificate cost
 //! and capacity feasibility from first principles, and confirm the DP
-//! returns exactly the optimum.
+//! returns exactly the optimum. The last two tests pin the arena engine
+//! to the legacy hash-table DP (`oracle/legacy_dp.rs`) bit for bit, tie
+//! breaks included.
 
 #![allow(clippy::needless_range_loop)] // parallel-array indexing is clearer here
 
-use hgp::core::relaxed::{labelling_cost, solve_relaxed};
+mod oracle;
+
+use hgp::core::relaxed::{labelling_cost, solve_relaxed, solve_relaxed_with};
 use hgp::graph::tree::{RootedTree, TreeBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -190,6 +194,82 @@ fn dp_reconstruction_is_feasible_and_cost_consistent() {
             assert!(feasible(&t, &units, &sol.cut_level, &caps));
             let oracle = labelling_cost(&t, &units, &sol.cut_level, &deltas);
             assert!((oracle - sol.cost).abs() < 1e-9);
+        }
+    }
+}
+
+/// Builds a pseudo-random caterpillar/bushy tree and checks that the
+/// arena engine and the legacy oracle return bit-identical results.
+///
+/// `widen_caps` adds slack far beyond the dense strategy's 20-bit compact
+/// key so the arena engine takes the radix-merge fallback instead of the
+/// dense direct-addressed strategy — both must match the legacy oracle.
+/// (`relaxed.rs`'s `widened_parity_caps_force_the_radix_fallback` checks
+/// that these caps do force the fallback.)
+fn parity_case_with(seed: u64, h: usize, widen_caps: u32) {
+    // tiny deterministic LCG so the case is reproducible
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let mut b = TreeBuilder::new_root();
+    let mut nodes = vec![0usize];
+    for _ in 0..24 {
+        let p = nodes[next(nodes.len() as u64) as usize];
+        let w = 0.5 + next(8) as f64;
+        nodes.push(b.add_child(p, w));
+    }
+    let t = b.build();
+    let mut units = vec![0u32; t.num_nodes()];
+    for v in 0..t.num_nodes() {
+        if t.is_leaf(v) {
+            units[v] = 1 + next(3) as u32;
+        }
+    }
+    let total: u32 = units.iter().sum();
+    let caps: Vec<u32> = (0..h)
+        .map(|k| (total / (1 + k as u32)).max(4) + widen_caps)
+        .collect();
+    let deltas: Vec<f64> = (0..h).map(|k| 1.0 + (h - k) as f64).collect();
+    for dominance_prune in [true, false] {
+        let arena = solve_relaxed_with(&t, &units, &caps, &deltas, dominance_prune);
+        let legacy = oracle::legacy_dp::solve_legacy(&t, &units, &caps, &deltas, dominance_prune);
+        match (arena, legacy) {
+            (Ok(a), Ok(l)) => {
+                assert_eq!(a.cost.to_bits(), l.cost.to_bits(), "seed {seed} h {h}");
+                assert_eq!(a.cut_level, l.cut_level, "seed {seed} h {h}");
+                assert_eq!(a.root_signature, l.root_signature, "seed {seed} h {h}");
+                assert_eq!(a.table_entries, l.table_entries, "seed {seed} h {h}");
+                assert_eq!(a.pruned_entries, l.pruned_entries, "seed {seed} h {h}");
+            }
+            (Err(a), Err(l)) => assert_eq!(a, l, "seed {seed} h {h}"),
+            (a, l) => panic!("engines disagree on feasibility: {a:?} vs {l:?}"),
+        }
+    }
+}
+
+#[test]
+fn arena_matches_legacy_engine_bitwise() {
+    for seed in 0..12 {
+        for h in 1..=4 {
+            parity_case_with(seed, h, 0);
+        }
+    }
+}
+
+#[test]
+fn radix_fallback_matches_legacy_engine_bitwise() {
+    // caps wide enough that the compact-key layout overflows the dense
+    // budget, exercising the radix merge. A single 16-bit lane always
+    // packs within that budget, so the fallback is only reachable at
+    // h ≥ 2. Wide caps disable most infeasibility pruning, so tables are
+    // large — keep the seed count small.
+    for seed in 0..3 {
+        for h in 2..=4 {
+            parity_case_with(seed, h, 40_000);
         }
     }
 }

@@ -1,8 +1,10 @@
 //! Property-based tests over the core invariants (proptest).
 
+mod oracle;
+
 use hgp::core::cost::{mirror_cost_boundary, tree_min_cut};
 use hgp::core::laminar::build_level_sets;
-use hgp::core::relaxed::{labelling_cost, solve_relaxed, solve_relaxed_with, DpOptions};
+use hgp::core::relaxed::{labelling_cost, solve_relaxed, solve_relaxed_with};
 use hgp::core::solver::SolverOptions;
 use hgp::core::{Assignment, Instance, Mutation, ReplaceOptions, Rounding, Session, Solve};
 use hgp::graph::tree::TreeBuilder;
@@ -184,11 +186,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The arena-backed DP engine and the legacy hash-table engine are
-    /// interchangeable oracles: on any random tree, leaf demands, caps,
-    /// and deltas — with or without dominance pruning — they return the
-    /// same cost to the bit, the same cut-level assignment, the same
-    /// root signature and table size, or the same error.
+    /// The arena-backed DP engine and the legacy hash-table oracle
+    /// (`tests/oracle/legacy_dp.rs`) agree: on any random tree, leaf
+    /// demands, caps, and deltas — with or without dominance pruning —
+    /// they return the same cost to the bit, the same cut-level
+    /// assignment, the same root signature and table size, or the same
+    /// error.
     #[test]
     fn arena_dp_equals_legacy_dp(
         links in proptest::collection::vec(
@@ -227,23 +230,8 @@ proptest! {
             .collect();
         let deltas = &deltas[..h];
         for dominance_prune in [false, true] {
-            let arena = solve_relaxed_with(
-                &t,
-                &units,
-                &caps,
-                deltas,
-                DpOptions::builder().dominance_prune(dominance_prune).build(),
-            );
-            let legacy = solve_relaxed_with(
-                &t,
-                &units,
-                &caps,
-                deltas,
-                DpOptions::builder()
-                    .dominance_prune(dominance_prune)
-                    .legacy_engine(true)
-                    .build(),
-            );
+            let arena = solve_relaxed_with(&t, &units, &caps, deltas, dominance_prune);
+            let legacy = oracle::legacy_dp::solve_legacy(&t, &units, &caps, deltas, dominance_prune);
             match (arena, legacy) {
                 (Ok(a), Ok(l)) => {
                     prop_assert_eq!(a.cost.to_bits(), l.cost.to_bits());
