@@ -12,6 +12,7 @@ pub mod f2;
 pub mod f3;
 pub mod f4;
 pub mod f5;
+pub mod f6;
 pub mod t1;
 pub mod t2;
 pub mod t3;

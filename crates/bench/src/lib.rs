@@ -3,25 +3,13 @@
 //!
 //! Each experiment in [`experiments`] is a pure function returning its
 //! rendered table(s); the `harness` binary dispatches on experiment ids
-//! (`t1`…`t5`, `f1`…`f4`, `a1`…`a3`, `all`). Timing-oriented measurements
-//! live in the Criterion benches under `benches/`, and the machine-readable
-//! serial-vs-parallel trajectory (`BENCH_solver.json`) is produced by the
-//! `bench_solver` binary on top of [`solver_bench`]. The server load
-//! trajectory (`BENCH_server.json`, open-loop event-vs-legacy A/B) is
-//! produced by the `bench_server` binary on top of [`server_bench`], and
-//! the elastic re-placement trajectory (`BENCH_elastic.json`, warm-vs-cold
-//! re-solves under churn) by the `bench_elastic` binary on top of
-//! [`elastic_bench`].
+//! (`t1`…`t5`, `f1`…`f6`, `a1`…`a4`, `all`). Timing lives in the
+//! `benchmark` package under `src/bin/benchmark/`, a program of its own
+//! with its README.
 
 #![warn(missing_docs)]
 
-pub mod alloc;
-pub mod elastic_bench;
 pub mod experiments;
-pub mod json;
-pub mod scale_bench;
-pub mod server_bench;
-pub mod solver_bench;
 pub mod table;
 
 /// Runs `f` and returns its result plus wall-clock milliseconds.
@@ -32,8 +20,8 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// All experiment ids in reporting order.
-pub const ALL_EXPERIMENTS: [&str; 14] = [
-    "t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f4", "f5", "a1", "a2", "a3", "a4",
+pub const ALL_EXPERIMENTS: [&str; 15] = [
+    "t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f4", "f5", "f6", "a1", "a2", "a3", "a4",
 ];
 
 /// Runs one experiment by id, returning its report.
@@ -49,6 +37,7 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "f3" => experiments::f3::run(),
         "f4" => experiments::f4::run(),
         "f5" => experiments::f5::run(),
+        "f6" => experiments::f6::run(),
         "a1" => experiments::a1::run(),
         "a2" => experiments::a2::run(),
         "a3" => experiments::a3::run(),

@@ -45,8 +45,8 @@ pub struct TreeSolveReport {
     pub level_set_counts: Vec<usize>,
     /// Wall-clock nanoseconds spent in the signature DP (rounding setup,
     /// [`solve_relaxed`], laminar reconstruction). Diagnostic only —
-    /// feeds
-    /// the `BENCH_solver.json` stage breakdown; never part of the solution.
+    /// feeds the server's `trace.dp-cpu-us` and the solve's DP-CPU total;
+    /// never part of the solution.
     pub dp_nanos: u64,
     /// Wall-clock nanoseconds spent in Theorem-5 repair
     /// ([`repair_assignment`]). Diagnostic only, like

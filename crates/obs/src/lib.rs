@@ -16,7 +16,8 @@
 //! * [`trace`] — [`SolveTrace`], the structured per-solve profile (stage
 //!   wall times, overlapping CPU totals, DP table/prune counts, cache and
 //!   queue facts, raw spans) carried by `HgpReport`/`TreeSolveReport` and
-//!   consumed by `bench_solver` and the server's `trace=1` replies.
+//!   consumed by the `benchmark` package's per-layer metrics and the
+//!   server's `trace=1` replies.
 //!
 //! Everything here is plain `std`: atomics on the hot paths, one `Mutex`
 //! around the span ring (taken only at guard drop and snapshot time).

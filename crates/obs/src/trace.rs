@@ -8,8 +8,8 @@
 //! harvested from a [`TraceSink`].
 //!
 //! The same structure is carried by `HgpReport`/`TreeSolveReport`,
-//! rendered to `trace.*` wire tokens by the server, and consumed by
-//! `bench_solver` in place of private timers.
+//! rendered to `trace.*` wire tokens by the server, and read by the
+//! `benchmark` package's per-layer metrics in place of private timers.
 
 use crate::span::{SpanRecord, TraceSink};
 

@@ -84,6 +84,9 @@ struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet framed into a complete line.
     rbuf: Vec<u8>,
+    /// Length of the prefix of `rbuf` already searched for a newline, so
+    /// a long line arriving over many reads is scanned once, not per read.
+    scanned: usize,
     /// Reply bytes accepted by the protocol but not yet by the kernel.
     wbuf: Vec<u8>,
     /// Ordered reply slots (front = oldest request).
@@ -99,6 +102,7 @@ impl Conn {
         Self {
             stream,
             rbuf: Vec::new(),
+            scanned: 0,
             wbuf: Vec::new(),
             slots: VecDeque::new(),
             read_closed: false,
@@ -168,12 +172,15 @@ impl Conn {
         }
         let mut lines = Vec::new();
         let mut start = 0;
-        while let Some(pos) = self.rbuf[start..].iter().position(|&b| b == b'\n') {
-            let end = start + pos;
+        let mut from = self.scanned;
+        while let Some(pos) = self.rbuf[from..].iter().position(|&b| b == b'\n') {
+            let end = from + pos;
             lines.push(String::from_utf8_lossy(&self.rbuf[start..end]).into_owned());
             start = end + 1;
+            from = start;
         }
         self.rbuf.drain(..start);
+        self.scanned = self.rbuf.len();
         lines
     }
 

@@ -23,8 +23,9 @@
 //! * [`flight`] — single-flight coalescing: concurrent solves sharing a
 //!   distribution fingerprint join one in-flight build (leader builds,
 //!   followers park and reuse, replies tagged `cache=shared`);
-//! * [`netpoll`] — a vendored-style shim over POSIX `poll(2)`/`pipe(2)`
-//!   (the workspace is crates.io-free) powering the event loop;
+//! * `netpoll` (private) — a vendored-style shim over POSIX
+//!   `poll(2)`/`pipe(2)` (the workspace is crates.io-free) powering the
+//!   event loop;
 //! * [`server`] — the std-only TCP front ends tying it together: an
 //!   event-driven readiness loop multiplexing thousands of non-blocking
 //!   connections on one thread (default on unix), with the legacy
@@ -41,7 +42,7 @@ pub mod cache;
 mod event;
 pub mod flight;
 pub mod metrics;
-pub mod netpoll;
+mod netpoll;
 pub mod pool;
 pub mod protocol;
 pub mod server;

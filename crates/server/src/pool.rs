@@ -70,7 +70,7 @@ const SUPERVISE_EVERY: Duration = Duration::from_millis(20);
 /// Where a finished reply line goes. Both front ends speak through this:
 /// the legacy threaded front end captures an `mpsc::Sender` (see
 /// [`channel_reply`]), the event loop captures a completion-queue push
-/// plus a [`crate::netpoll::WakePipe`] wake. If the pool shuts down with
+/// plus a self-pipe wake. If the pool shuts down with
 /// the job still queued, the sink is dropped uncalled — for the channel
 /// sink that disconnects the receiver, which the connection surfaces as
 /// `shutting-down`.

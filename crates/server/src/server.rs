@@ -3,7 +3,7 @@
 //!
 //! Deliberately `std`-only (no async runtime is vendored). The default
 //! front end is the `event` readiness loop: one thread owns
-//! every connection through the [`crate::netpoll`] shim, parses lines,
+//! every connection through a private `poll(2)` shim, parses lines,
 //! answers `stats2`/`place-incremental`/`shutdown` inline, and
 //! dispatches `solve` into the bounded [`SolverPool`], flushing replies
 //! as workers complete. The legacy mode (`ServerConfig::legacy_threads`,

@@ -9,8 +9,9 @@
 //! expensive distribution stage. This module generates reproducible
 //! streams of that shape — per epoch, a batch of
 //! [`Mutation::UpdateDemand`]s multiplicatively jittering a random subset
-//! of tasks — for `bench_elastic` and any harness that wants to replay
-//! realistic churn against a [`hgp_core::Session`].
+//! of tasks — for the root test `standard_churn_replay_stays_warm` and
+//! any harness that wants to replay realistic churn against a
+//! [`hgp_core::Session`].
 
 use hgp_core::{Instance, Mutation};
 use rand::Rng;

@@ -6,20 +6,18 @@
 //! [`stream`] generates synthetic operator graphs of that shape;
 //! [`suite`] packages them — together with the scientific-mesh and
 //! power-law service-graph families — into the named instances the
-//! experiment harness sweeps over.
+//! experiment harness sweeps over. [`elastic`] draws demand-churn streams
+//! to replay against a session, and [`requests`] scripts wire requests
+//! for the load client.
 
 #![warn(missing_docs)]
 
-pub mod demand;
 pub mod elastic;
-pub mod openloop;
 pub mod requests;
 pub mod stream;
 pub mod suite;
 
-pub use demand::DemandModel;
 pub use elastic::{demand_churn, ChurnOpts};
-pub use openloop::{open_loop_schedule, warm_lines, Arrival, OpenLoopOpts, TrafficKind};
 pub use requests::{request_script, substitute_session, RequestScriptOpts};
 pub use stream::{stream_dag, StreamOpts};
 pub use suite::{machines, standard_suite, NamedInstance};

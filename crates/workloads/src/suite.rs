@@ -75,8 +75,8 @@ pub fn standard_suite(seed: u64) -> Vec<NamedInstance> {
     out
 }
 
-/// Large-scale workloads for the multilevel front-end (`bench_scale` and
-/// the scale sweep in EXPERIMENTS.md): three generator families at
+/// Large-scale workloads for the multilevel front-end (experiment F6 in
+/// EXPERIMENTS.md): three generator families at
 /// `n >= 1e5`, built with bulk edge insertion so constructing the graph is
 /// not the bottleneck. Demands are drawn to total ~60 % of `leaves`, so
 /// every preset fits any machine with that many leaves.
@@ -93,8 +93,8 @@ pub fn scale_suite(seed: u64, leaves: usize) -> Vec<NamedInstance> {
     scale_suite_sized(seed, leaves, 100_000)
 }
 
-/// [`scale_suite`] at an arbitrary target size (the bench sweeps
-/// `n ∈ {1e3, 1e4, 1e5, 1e6}`). `n` must be at least 1000.
+/// [`scale_suite`] at an arbitrary target size (experiment F6 sweeps
+/// `n ∈ {1e3, 1e4, 2e4, 1e5, 1e6}`). `n` must be at least 1000.
 pub fn scale_suite_sized(seed: u64, leaves: usize, n: usize) -> Vec<NamedInstance> {
     assert!(n >= 1000, "scale presets start at n = 1000");
     let label = |family: &str| {

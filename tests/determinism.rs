@@ -4,14 +4,14 @@
 
 mod oracle;
 
-use hgp::core::solver::SolverOptions;
+use hgp::core::solver::{HgpReport, SolverOptions};
 use hgp::core::{Instance, Parallelism, Solve};
 use hgp::decomp::{
     build_decomp_tree, racke_distribution, racke_distribution_par, CutOracle, DecompOpts,
     DecompTree, Distribution,
 };
 use hgp::graph::generators;
-use hgp::hierarchy::presets;
+use hgp::hierarchy::{presets, Hierarchy};
 use oracle::alloc_sampler::{build_decomp_tree_prescaled, racke_distribution_ref, scale_graph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,6 +103,30 @@ fn tree_solver_is_deterministic() {
     assert_eq!(a.dp_entries, b.dp_entries);
 }
 
+/// Solves serially, at `fixed` workers and at the automatic width,
+/// asserts the three answers are identical, and returns the serial one.
+fn solve_at_three_widths(
+    inst: &Instance,
+    h: &Hierarchy,
+    base: SolverOptions,
+    fixed: usize,
+) -> HgpReport {
+    let with = |p| {
+        Solve::new(inst, h)
+            .options(base.to_builder().threads(p).build())
+            .run()
+            .unwrap()
+    };
+    let serial = with(Parallelism::serial());
+    for p in [Parallelism::Fixed(fixed), Parallelism::Auto] {
+        let r = with(p);
+        assert_eq!(serial.assignment, r.assignment, "{p:?}");
+        assert_eq!(serial.cost.to_bits(), r.cost.to_bits(), "{p:?}");
+        assert_eq!(serial.best_tree, r.best_tree, "{p:?}");
+    }
+    serial
+}
+
 #[test]
 fn full_solver_is_seed_stable_and_thread_independent() {
     let mut r = StdRng::seed_from_u64(34);
@@ -110,21 +134,33 @@ fn full_solver_is_seed_stable_and_thread_independent() {
     let inst = Instance::uniform(g, 0.3);
     let h = presets::multicore(2, 4, 4.0, 1.0);
     let base = SolverOptions::builder().trees(4).seed(99).build();
-    let with =
-        |parallelism| Solve::new(&inst, &h).options(base.to_builder().threads(parallelism).build());
-    let r1 = with(Parallelism::serial()).run().unwrap();
-    let r2 = with(Parallelism::Fixed(8)).run().unwrap();
-    let r3 = with(Parallelism::Auto).run().unwrap();
-    assert_eq!(r1.assignment, r2.assignment);
-    assert_eq!(r1.assignment, r3.assignment);
-    assert_eq!(r1.cost.to_bits(), r2.cost.to_bits());
-    assert_eq!(r1.best_tree, r2.best_tree);
+    solve_at_three_widths(&inst, &h, base, 8);
     // a different seed is allowed to (and here does) pick another tree
     let r4 = Solve::new(&inst, &h)
         .options(base.to_builder().seed(100).build())
         .run()
         .unwrap();
     assert!(r4.cost.is_finite());
+
+    // the standard instance: a 16x16 mesh at 80 % load on a 4x4 machine,
+    // 8 trees, 8 units; its cost is pinned bit for bit
+    let seed = 0x5AA5_2014;
+    let g = generators::grid2d(&mut StdRng::seed_from_u64(seed), 16, 16, 0.5, 2.0);
+    let h = presets::multicore(4, 4, 4.0, 1.0);
+    let demand = 0.8 * h.num_leaves() as f64 / g.num_nodes() as f64;
+    let inst = Instance::uniform(g, demand);
+    let base = SolverOptions::builder()
+        .trees(8)
+        .units(8)
+        .seed(seed)
+        .build();
+    let rep = solve_at_three_widths(&inst, &h, base, 4);
+    assert_eq!(
+        rep.cost.to_bits(),
+        391.9618782123588f64.to_bits(),
+        "{}",
+        rep.cost
+    );
 }
 
 #[test]

@@ -352,3 +352,145 @@ fn golden_apply_trajectory_is_pinned() {
         "final leaves drifted"
     );
 }
+
+/// Warm-resolve cost of each epoch of the standard churn replay below, as
+/// recorded from an earlier run of the same replay.
+const STANDARD_EPOCH_COSTS: [f64; 8] = [
+    135.40793386666667,
+    134.2732988,
+    134.2732988,
+    134.2732988,
+    134.2732988,
+    134.2732988,
+    134.2732988,
+    134.2732988,
+];
+
+/// The standard elastic replay: a 409-task streaming DAG on a 4x4 machine
+/// takes eight epochs of 24 demand edits, and each post-churn state is
+/// resolved twice, warm on the live session and cold on a discarded
+/// clone. Demand edits keep the cached distribution, so every warm
+/// resolve must hit it, obtain a full-pipeline candidate, stay within 5 %
+/// of the cold cost and within 2 % of its recorded cost, and the warm
+/// resolves together must be at least 2x faster than the cold ones. Then
+/// the final state, restored round-robin, is resolved under doubling move
+/// budgets: no budget is overspent, and more budget never costs more.
+#[test]
+fn standard_churn_replay_stays_warm() {
+    use hgp::core::Assignment;
+    use hgp::workloads::{demand_churn, stream_dag, ChurnOpts, StreamOpts};
+    use std::time::{Duration, Instant};
+
+    let seed = 0xE1A5_2014;
+    let epochs = STANDARD_EPOCH_COSTS.len();
+    let h = presets::multicore(4, 4, 4.0, 1.0);
+    let inst = stream_dag(
+        &mut StdRng::seed_from_u64(seed),
+        &StreamOpts {
+            queries: 24,
+            depth: 6,
+            max_width: 4,
+            max_demand: 0.08,
+            ..Default::default()
+        },
+    );
+    assert_eq!(inst.num_tasks(), 409);
+    let total: f64 = inst.demands().iter().sum();
+    assert!(total <= 0.5 * h.num_leaves() as f64, "no drift headroom");
+
+    let solver = SolverOptions::builder()
+        .trees(8)
+        .units(4)
+        .seed(seed)
+        .build();
+    let initial = Solve::new(&inst, &h).options(solver).run().unwrap();
+    let mut session = Session::with_initial(h.clone(), &inst, &initial.assignment);
+    let warm_opts = ReplaceOptions::builder().solver(solver).build();
+    let cold_opts = warm_opts.to_builder().cold(true).build();
+    // prime the cache: the one cold build every warm resolve amortises
+    session.resolve(&cold_opts);
+
+    // one batch more than the epochs: the last one shakes the final state
+    let stream = demand_churn(
+        &mut StdRng::seed_from_u64(seed ^ 0x9E37_79B9),
+        &inst,
+        &ChurnOpts {
+            epochs: epochs + 1,
+            batch: 24,
+            jitter: 0.3,
+        },
+    );
+    let (mut warm_time, mut cold_time) = (Duration::ZERO, Duration::ZERO);
+    for (i, (batch, recorded)) in stream.iter().zip(STANDARD_EPOCH_COSTS).enumerate() {
+        session.apply(batch).unwrap();
+        let mut cold_session = session.clone();
+        let start = Instant::now();
+        let warm = session.resolve(&warm_opts);
+        warm_time += start.elapsed();
+        let start = Instant::now();
+        let cold = cold_session.resolve(&cold_opts);
+        cold_time += start.elapsed();
+        assert!(
+            warm.warm,
+            "epoch {i}: the resolve missed the cached distribution"
+        );
+        assert!(
+            warm.target_cost.is_some() && cold.target_cost.is_some(),
+            "epoch {i}: an arm degraded to FM only"
+        );
+        assert!(
+            warm.cost <= cold.cost * 1.05 + 1e-9,
+            "epoch {i}: warm {} vs cold {}",
+            warm.cost,
+            cold.cost
+        );
+        assert!(
+            warm.cost <= recorded * 1.02 + 1e-9,
+            "epoch {i}: warm {} vs recorded {recorded}",
+            warm.cost
+        );
+    }
+    assert!(
+        cold_time >= 2 * warm_time,
+        "warm resolves {warm_time:?} vs cold {cold_time:?}: under 2x faster"
+    );
+
+    session.apply(&stream[epochs]).unwrap();
+    let snap = session.snapshot().unwrap();
+    let k = h.num_leaves();
+    let naive = Assignment::new(
+        (0..snap.instance.num_tasks())
+            .map(|v| (v % k) as u32)
+            .collect(),
+        &h,
+    );
+    let mut displaced = Session::with_initial(h, &snap.instance, &naive);
+    displaced.resolve(&warm_opts.to_builder().max_moves(0).build());
+    let active = displaced.num_active();
+    let budgets = std::iter::once(0)
+        .chain(std::iter::successors(Some(1), |b| Some(b * 2)).take_while(|&b| b < active))
+        .chain([active]);
+    let mut prev: Option<(usize, f64)> = None;
+    for budget in budgets {
+        let r = displaced
+            .clone()
+            .resolve(&warm_opts.to_builder().max_moves(budget).build());
+        assert!(
+            r.moves <= budget,
+            "budget {budget}: spent {} moves",
+            r.moves
+        );
+        match prev {
+            None => assert_eq!(budget, 0, "the curve starts at budget 0"),
+            Some((pb, pc)) => {
+                assert!(budget > pb, "budgets must rise ({pb} then {budget})");
+                assert!(
+                    r.cost <= pc + 1e-6 * pc.max(1.0),
+                    "budget {budget}: cost {} above {pc} at budget {pb}",
+                    r.cost
+                );
+            }
+        }
+        prev = Some((budget, r.cost));
+    }
+}

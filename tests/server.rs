@@ -389,6 +389,39 @@ fn pipelined_requests_reply_strictly_in_order() {
     server.shutdown();
 }
 
+/// A line that reaches the server over many small writes is framed once:
+/// its fragments draw no replies of their own, the next line framed after
+/// it is intact, and the solve costs what the line sent in one write does.
+#[test]
+fn a_line_split_over_many_writes_is_framed_once() {
+    let server = Server::start(ServerConfig::builder().workers(1).build()).expect("start server");
+    let mut client = Client::connect(server.addr());
+    client.writer.set_nodelay(true).unwrap();
+    let line = "solve graph=gen:clustered:2x4:700 machine=2x2:4,1,0 demand=0.3 trees=4 seed=42";
+    // three-byte writes with gaps, so the server reads each on its own;
+    // one write carries the solve's newline and the start of `stats2`
+    for piece in format!("{line}\nstats2\n").as_bytes().chunks(3) {
+        client.writer.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let mut next_reply = || {
+        let mut reply = String::new();
+        client.reader.read_line(&mut reply).unwrap();
+        reply.trim().to_string()
+    };
+    let split = next_reply();
+    let stats2 = next_reply();
+    assert!(split.starts_with("ok cost="), "{split}");
+    assert!(stats2.starts_with("ok version=2"), "{stats2}");
+    assert_eq!(field_u64(&stats2, "req.lines"), 2, "{stats2}");
+    assert_eq!(field_u64(&stats2, "req.bad"), 0, "{stats2}");
+    // the same line in one write: served from the cache at the same cost
+    let whole = client.req(line);
+    assert_eq!(reply_field(&whole, "cache"), Some("hit"), "{whole}");
+    assert_eq!(reply_field(&split, "cost"), reply_field(&whole, "cost"));
+    server.shutdown();
+}
+
 #[test]
 fn legacy_and_event_front_ends_are_wire_compatible() {
     let script = [
