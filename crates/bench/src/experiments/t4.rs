@@ -1,25 +1,38 @@
 //! T4 — running-time scaling of the DP (§3: `O(n · D^{3h+2})` worst case;
 //! measured growth is far milder thanks to Pareto pruning and
-//! subtree-bounded signatures).
+//! subtree-bounded signatures), on one machine per height `h = 1..=4`.
 
 use super::common;
 use crate::table::{f2, Table};
 use crate::timed;
 use hgp_core::solver::SolverOptions;
 use hgp_core::Solve;
-use hgp_hierarchy::presets;
+use hgp_hierarchy::{presets, Hierarchy};
 
-/// `(n, Δ, h)` → `(milliseconds, DP table entries)`.
-pub(crate) fn measure(n: usize, units: u32, height2: bool) -> (f64, usize) {
-    let k: usize = 8;
-    let demand = (0.8 * k as f64 / n as f64).min(1.0);
+/// One machine per height: `(h, name, machine)`.
+fn machines() -> [(usize, &'static str, Hierarchy); 4] {
+    [
+        (1, "flat(8)", presets::flat(8)),
+        (2, "multicore(2,4)", presets::multicore(2, 4, 4.0, 1.0)),
+        (
+            3,
+            "datacenter(2,2,4)",
+            presets::datacenter(2, 2, 4, 12.0, 4.0, 1.0),
+        ),
+        (
+            4,
+            "2x2x2x2",
+            Hierarchy::new(vec![2; 4], vec![27.0, 9.0, 3.0, 1.0, 0.0]),
+        ),
+    ]
+}
+
+/// A random `n`-node tree at 80 % load on `machine`, solved at `units` per
+/// leaf → `(milliseconds, DP table entries)`.
+pub(crate) fn measure(n: usize, units: u32, machine: &Hierarchy) -> (f64, usize) {
+    let demand = (0.8 * machine.num_leaves() as f64 / n as f64).min(1.0);
     let inst = common::random_tree_instance(4000 + n as u64, n, demand);
-    let h = if height2 {
-        presets::multicore(2, 4, 4.0, 1.0)
-    } else {
-        presets::flat(8)
-    };
-    let req = Solve::new(&inst, &h).options(SolverOptions::builder().units(units).build());
+    let req = Solve::new(&inst, machine).options(SolverOptions::builder().units(units).build());
     let (rep, ms) = timed(|| req.run_tree().unwrap());
     (ms, rep.dp_entries)
 }
@@ -27,39 +40,53 @@ pub(crate) fn measure(n: usize, units: u32, height2: bool) -> (f64, usize) {
 /// Runs T4 and renders the tables.
 pub fn run() -> String {
     let mut out = String::from("## T4 — DP running time scaling\n\n");
+    let header = || {
+        Table::new(vec![
+            "h",
+            "machine",
+            "n",
+            "units/leaf",
+            "time (ms)",
+            "dp entries",
+        ])
+    };
+    let row = |t: &mut Table, h: usize, name: &str, n: usize, units: u32, machine: &Hierarchy| {
+        let (ms, entries) = measure(n, units, machine);
+        t.row(vec![
+            h.to_string(),
+            name.into(),
+            n.to_string(),
+            units.to_string(),
+            f2(ms),
+            entries.to_string(),
+        ]);
+    };
 
-    let mut t = Table::new(vec!["h", "n", "units/leaf", "time (ms)", "dp entries"]);
-    for &height2 in &[false, true] {
-        for &n in &[16usize, 32, 64, 128, 256] {
-            let (ms, entries) = measure(n, 8, height2);
-            t.row(vec![
-                if height2 { "2" } else { "1" }.to_string(),
-                n.to_string(),
-                "8".into(),
-                f2(ms),
-                entries.to_string(),
-            ]);
+    let mut t = header();
+    for (h, name, machine) in &machines() {
+        for n in [16usize, 32, 64, 128, 256] {
+            row(&mut t, *h, name, n, 8, machine);
         }
     }
     out.push_str(&t.render());
     out.push('\n');
 
-    let mut t = Table::new(vec!["h", "n", "units/leaf", "time (ms)", "dp entries"]);
-    for &units in &[2u32, 4, 8, 16, 32, 64] {
-        let (ms, entries) = measure(64, units, true);
-        t.row(vec![
-            "2".into(),
-            "64".into(),
-            units.to_string(),
-            f2(ms),
-            entries.to_string(),
-        ]);
+    let mut t = header();
+    for (h, name, machine) in machines().iter().skip(1) {
+        let grids: &[u32] = if *h == 2 {
+            &[2, 4, 8, 16, 32, 64]
+        } else {
+            &[2, 4, 8, 16]
+        };
+        for &units in grids {
+            row(&mut t, *h, name, 64, units, machine);
+        }
     }
     out.push_str(&t.render());
     out.push_str(
         "\nExpected shape: near-linear growth in n at fixed grid; polynomial \
          growth in the grid resolution (the paper's D), flattened by Pareto \
-         pruning.\n",
+         pruning, at every height.\n",
     );
     out
 }
@@ -70,18 +97,28 @@ mod tests {
 
     #[test]
     fn entries_grow_with_n() {
-        let (_, e16) = measure(16, 8, true);
-        let (_, e128) = measure(128, 8, true);
+        let machine = presets::multicore(2, 4, 4.0, 1.0);
+        let (_, e16) = measure(16, 8, &machine);
+        let (_, e128) = measure(128, 8, &machine);
         assert!(e128 > e16, "DP size must grow with n: {e16} vs {e128}");
     }
 
     #[test]
     fn entries_grow_with_grid() {
-        let (_, coarse) = measure(64, 2, true);
-        let (_, fine) = measure(64, 32, true);
+        let machine = presets::multicore(2, 4, 4.0, 1.0);
+        let (_, coarse) = measure(64, 2, &machine);
+        let (_, fine) = measure(64, 32, &machine);
         assert!(
             fine >= coarse,
             "finer grids cannot shrink the DP: {coarse} vs {fine}"
         );
+    }
+
+    #[test]
+    fn entries_grow_with_n_at_h3() {
+        let machine = presets::datacenter(2, 2, 4, 12.0, 4.0, 1.0);
+        let (_, e16) = measure(16, 8, &machine);
+        let (_, e128) = measure(128, 8, &machine);
+        assert!(e128 > e16, "DP size must grow with n: {e16} vs {e128}");
     }
 }

@@ -37,11 +37,19 @@
 //! of costs and `u32` backpointer indices) and resolves the
 //! `(j₁, j₂)`-consistent merge by a sorted merge over candidate
 //! signatures instead of hash probing; backpointer walking is then plain
-//! index chasing. Its tie-breaks are those of the pre-arena per-node
+//! index chasing. Each fold visits the running table grouped by lane 0,
+//! so a cut level `j ≥ 1` pass stops where lane 0 no longer fits beside
+//! the child's. Its tie-breaks are those of the pre-arena per-node
 //! hash-table DP (the "legacy" path the comments below refer to). That
 //! DP is a parity oracle in the root test tree
 //! (`tests/oracle/legacy_dp.rs`), and the root tests require
 //! bit-identical `(cost, cut_level)` results from both.
+//!
+//! After every fold, every table above `PRUNE_MIN_TABLE` entries keeps
+//! only its Pareto frontier (`prune_keep`): one prefix-minimum query per
+//! entry in signature order, on a Fenwick grid sized from the table's own
+//! lanes or, when that grid would be sparse, by divide and conquer —
+//! near-linear at every height and table size.
 
 #![allow(clippy::needless_range_loop)] // parallel-array indexing is clearer here
 use crate::error::{check_height, HgpError};
@@ -396,6 +404,59 @@ fn dense_probe(
     }
 }
 
+/// One running-table entry as the merge visits it.
+#[derive(Clone, Copy)]
+struct RunEntry {
+    sig: u64,
+    cost: f64,
+    /// Arena index.
+    at: u32,
+    /// Compact key (dense strategy only).
+    ck: u32,
+}
+
+/// A fold's running table regrouped by ascending lane 0, in scratch
+/// reused across folds. Lane 0 is the least significant field of a
+/// packed signature, so the arena's signature order scatters it;
+/// grouped, the entries a child entry can merge with at any cut level
+/// `j ≥ 1` — those whose lane 0 fits beside the child's — form a prefix.
+#[derive(Default)]
+struct LaneZeroView {
+    entries: Vec<RunEntry>,
+}
+
+impl LaneZeroView {
+    /// Regroups the running table (arena range `run`; `None`, the empty
+    /// pseudo-state, leaves the view empty), with compact keys when the
+    /// dense `layout` is in use. The sort is unstable: the order inside a
+    /// lane-0 group is immaterial (see the merge).
+    fn regroup(&mut self, arena: &Arena, run: Option<(u32, u32)>, layout: Option<&CkLayout>) {
+        let (ps, pe) = run.unwrap_or((0, 0));
+        self.entries.clear();
+        self.entries.extend((ps..pe).map(|i| {
+            let sig = arena.sig[i as usize];
+            RunEntry {
+                sig,
+                cost: arena.cost[i as usize],
+                at: i,
+                ck: layout.map_or(0, |l| l.pack(sig)),
+            }
+        }));
+        self.entries.sort_unstable_by_key(|e| sig_lane(e.sig, 0));
+    }
+
+    /// How many leading entries have lane 0 at most `limit`.
+    fn fitting(&self, limit: u32) -> usize {
+        self.entries
+            .partition_point(|e| sig_lane(e.sig, 0) <= limit)
+    }
+}
+
+/// Starting capacity of the running-table view and the prune sweep's
+/// Fenwick cells, which nearly every solve grows past: starting here
+/// saves the first few growth steps' allocator calls.
+const SCRATCH_START: usize = 64;
+
 fn solve_arena(
     tree: &RootedTree,
     leaf_units: &[u32],
@@ -416,13 +477,18 @@ fn solve_arena(
     let mut radix_buf: Vec<Cand> = Vec::new();
     let mut winners: Vec<(u64, f64)> = Vec::new();
     let mut wentry: Vec<(u32, u32, u8)> = Vec::new();
-    let mut prune_scratch = PruneScratch::default();
+    let mut prune_scratch = PruneScratch {
+        fen: Vec::with_capacity(SCRATCH_START),
+        ..PruneScratch::default()
+    };
     // Dense strategy state: a direct-addressed slot per compact key when
     // the caps pack narrowly enough, otherwise the radix-merge fallback.
     let layout = CkLayout::build(caps, h);
     let mut slots: Vec<DenseSlot> = Vec::new();
     let mut touched: Vec<u32> = Vec::new();
-    let mut ckcur: Vec<u32> = Vec::new();
+    let mut view = LaneZeroView {
+        entries: Vec::with_capacity(SCRATCH_START),
+    };
     let mut epoch = 0u32;
     if let Some(l) = &layout {
         slots.resize(1usize << l.shift[h], DenseSlot::default());
@@ -456,19 +522,18 @@ fn solve_arena(
             let (cs, ce) = final_seg[c];
             winners.clear();
             wentry.clear();
+            view.regroup(&arena, cur, layout.as_ref());
             if let Some(l) = &layout {
                 // Dense strategy: every candidate lands in a
                 // direct-addressed slot keyed by compact signature — the
                 // merge is one add, the cap check one SWAR subtract, the
-                // dedup one stamped store. Probe order is the legacy
-                // (child entry, j, cur entry) order, so slot updates
-                // reproduce hash-insertion tie-breaking exactly.
+                // dedup one stamped store. Passes run in the legacy
+                // (child entry, j) order; inside a pass the compact key is
+                // injective on the running table, so each slot sees at
+                // most one candidate per pass and the lane-0 visiting
+                // order cannot move a tie-break.
                 epoch += 1;
                 touched.clear();
-                if let Some((ps, pe)) = cur {
-                    ckcur.clear();
-                    ckcur.extend((ps..pe).map(|pi| l.pack(arena.sig[pi as usize])));
-                }
                 let capg = l.capck | l.guards;
                 for ci in cs..ce {
                     let csig = arena.sig[ci as usize];
@@ -487,6 +552,9 @@ fn solve_arena(
                     }
                     let j_lo = if w.is_infinite() { h } else { 0 };
                     let ckchild = l.pack(csig);
+                    // at j ≥ 1 only running entries whose lane 0 fits
+                    // beside the child's can pass the cap check
+                    let fit = view.fitting(caps[0] - sig_lane(csig, 0));
                     for j in j_lo..=h {
                         // lanes 0..j of the child merge in (levels 1..=j
                         // stay connected)
@@ -508,21 +576,21 @@ fn solve_arena(
                                     j as u8,
                                 );
                             }
-                            Some((ps, _)) => {
-                                for (pii, &ckc) in ckcur.iter().enumerate() {
-                                    let ck = ckc + ckpre;
+                            Some(_) => {
+                                let end = if j == 0 { view.entries.len() } else { fit };
+                                for e in &view.entries[..end] {
+                                    let ck = e.ck + ckpre;
                                     if capg.wrapping_sub(ck) & l.guards != l.guards {
                                         continue; // a lane sum exceeds its cap
                                     }
-                                    let pi = ps + pii as u32;
-                                    let cost = (arena.cost[pi as usize] + ccost) + add;
+                                    let cost = (e.cost + ccost) + add;
                                     dense_probe(
                                         &mut slots,
                                         &mut touched,
                                         epoch,
                                         ck,
                                         cost,
-                                        pi,
+                                        e.at,
                                         ci,
                                         j as u8,
                                     );
@@ -545,7 +613,10 @@ fn solve_arena(
                 // Radix fallback for cap layouts too wide to
                 // direct-address: materialise every candidate, then a
                 // stable LSD radix sort groups equal signatures in
-                // generation order.
+                // generation order. As in the dense strategy, a pass
+                // yields each signature at most once, so visiting the
+                // running table in lane-0 order keeps every group's
+                // order.
                 cands.clear();
                 let mut max_sig = 0u64;
                 for ci in cs..ce {
@@ -564,6 +635,7 @@ fn solve_arena(
                         }
                     }
                     let j_lo = if w.is_infinite() { h } else { 0 };
+                    let fit = view.fitting(caps[0] - sig_lane(csig, 0));
                     for j in j_lo..=h {
                         // lanes 0..j of the child merge in (levels 1..=j
                         // stay connected); per-lane headroom hoisted out
@@ -586,9 +658,10 @@ fn solve_arena(
                                     j: j as u8,
                                 });
                             }
-                            Some((ps, pe)) => {
-                                for pi in ps..pe {
-                                    let cursig = arena.sig[pi as usize];
+                            Some(_) => {
+                                let end = if j == 0 { view.entries.len() } else { fit };
+                                for e in &view.entries[..end] {
+                                    let cursig = e.sig;
                                     let mut ok = true;
                                     for k in 0..j {
                                         if sig_lane(cursig, k) > limit[k] {
@@ -605,8 +678,8 @@ fn solve_arena(
                                     max_sig |= sig;
                                     cands.push(Cand {
                                         sig,
-                                        cost: (arena.cost[pi as usize] + ccost) + add,
-                                        prev: pi,
+                                        cost: (e.cost + ccost) + add,
+                                        prev: e.at,
                                         child: ci,
                                         j: j as u8,
                                     });
@@ -719,21 +792,79 @@ fn solve_arena(
 }
 
 /// Tables at or below this size skip dominance pruning: scanning a
-/// handful of entries next fold is cheaper than sorting and pruning
-/// them. The legacy test oracle restates this threshold and the `h ≥ 3`
-/// bound in [`prune_keep`], so both keep identical tables.
+/// handful of entries next fold is cheaper than sweeping them, and
+/// pruning them would settle some equal-cost ties differently. The
+/// legacy test oracle restates this threshold, so both keep identical
+/// tables. Every larger table is pruned, whatever its size or height.
 const PRUNE_MIN_TABLE: usize = 9;
+
+/// The grid sweep's budget: a table whose lanes `0..h−1` span at most
+/// this many grid cells per entry takes [`Sweep::Grid`]; a sparser one
+/// takes [`Sweep::Divide`], so no fold resets a grid much larger than
+/// its table. A bound rather than a tuned optimum: on the benchmark's
+/// workloads budgets from 2 to 64 prune equally fast, and 1 is slower.
+const GRID_CELLS_PER_ENTRY: usize = 4;
+
+/// How [`prune_keep`] answers "is this entry dominated?" for one table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Sweep {
+    /// A Fenwick prefix-minimum grid over lanes `0..h−1`, sized from the
+    /// table's own largest lanes. Lane `k` has extent
+    /// `dims[MAX_HEIGHT − h + k]`; the unused leading dimensions have
+    /// extent 1, so `h = 1` is a single cell (a running minimum) and
+    /// `h = 2` a one-dimensional Fenwick array.
+    Grid([usize; MAX_HEIGHT - 1]),
+    /// Divide and conquer over the signature order (CDQ, one level per
+    /// lane `0..h−2`), ending in a Fenwick array over the ranks of lane
+    /// `h−2`: `O(n log^(h−1) n)` whatever the lane values.
+    Divide,
+}
+
+impl Sweep {
+    fn choose(entries: &[(u64, f64)], h: usize) -> Sweep {
+        let dims = grid_dims(entries, h);
+        let cells = dims.iter().fold(1usize, |a, &d| a.saturating_mul(d));
+        if cells <= GRID_CELLS_PER_ENTRY.saturating_mul(entries.len()) {
+            Sweep::Grid(dims)
+        } else {
+            Sweep::Divide
+        }
+    }
+}
+
+/// The extents [`Sweep::Grid`] would have for this table.
+fn grid_dims(entries: &[(u64, f64)], h: usize) -> [usize; MAX_HEIGHT - 1] {
+    let mut top = [0usize; MAX_HEIGHT - 1];
+    for &(sig, _) in entries {
+        let at = grid_cell(sig, h);
+        for i in 0..MAX_HEIGHT - 1 {
+            top[i] = top[i].max(at[i]);
+        }
+    }
+    top.map(|t| t + 1)
+}
+
+/// The grid coordinates of a signature: lanes `0..h−1`, right-aligned
+/// so that lane `k` lands in dimension `MAX_HEIGHT − h + k`.
+fn grid_cell(sig: u64, h: usize) -> [usize; MAX_HEIGHT - 1] {
+    let lanes = (sig & LOW_LANES[h - 1]) << (16 * (MAX_HEIGHT - h));
+    std::array::from_fn(|i| sig_lane(lanes, i) as usize)
+}
 
 /// Scratch buffers for [`prune_keep`], reused across folds so the hot
 /// path performs no per-call allocation once warmed up.
 #[derive(Default)]
 struct PruneScratch {
     keep: Vec<bool>,
-    /// Fenwick array for the `h = 2` prefix-minimum sweep.
+    /// Fenwick cells: the grid sweep's grid (row-major over its
+    /// dimensions) or the divide sweep's array over the ranks of lane
+    /// `h−2`.
     fen: Vec<f64>,
-    /// Hoisted `(cost, sig, index)` sort keys for `h ∈ {3, 4}`.
-    keyed: Vec<(f64, u64, u32)>,
-    kept_sigs: Vec<u64>,
+    /// The distinct values of lane `h−2`, ascending (rank = position).
+    ranks: Vec<u32>,
+    /// The divide sweep's points: the whole table, then one cross buffer
+    /// per divided lane.
+    pts: [Vec<Pt>; MAX_HEIGHT - 1],
 }
 
 /// Marks the Pareto frontier of a table sorted by ascending packed
@@ -745,106 +876,230 @@ struct PruneScratch {
 /// what keeps fine rounding grids tractable — the paper's `D^h` signature
 /// domain collapses to its Pareto frontier.
 ///
-/// Returns `None` when nothing is pruned (table under the keep threshold,
-/// or over the `h ≥ 3` quadratic-sweep bound), else the per-entry keep
-/// mask. The kept set is the full non-dominated set — independent of the
-/// scan order, because every scan below visits dominators before the
-/// entries they dominate (packed signatures compare lane-monotonically)
-/// and domination is transitive.
+/// Returns `None` when the table is at most [`PRUNE_MIN_TABLE`] entries,
+/// else the per-entry keep mask: the full non-dominated set. Both sweeps
+/// rest on one order argument. Lane `h−1` is the most significant field
+/// of a packed signature, and signatures are distinct, so every dominator
+/// of an entry sorts before it. An entry is therefore dominated iff some
+/// *earlier* entry is ≤ on lanes `0..h−1` and on cost — one
+/// `(h−1)`-dimensional prefix-minimum query per entry, with no cost sort
+/// and no pairwise scan. The sweeps insert only kept entries; by
+/// transitivity that finds the same dominators.
 fn prune_keep<'a>(entries: &[(u64, f64)], h: usize, s: &'a mut PruneScratch) -> Option<&'a [bool]> {
-    let n = entries.len();
-    if n <= PRUNE_MIN_TABLE {
+    if entries.len() <= PRUNE_MIN_TABLE {
         return None;
     }
     s.keep.clear();
-    s.keep.resize(n, true);
-    match h {
-        1 => {
-            // sig order = lane0 ascending; keep the strict running cost
-            // minimum
-            let mut best = f64::INFINITY;
-            for (i, &(_, cost)) in entries.iter().enumerate() {
-                if cost >= best {
-                    s.keep[i] = false;
-                } else {
-                    best = cost;
-                }
-            }
-        }
-        2 => {
-            // sig order = (lane1, lane0) lexicographic; a dominator has
-            // lane1 ≤ and lane0 ≤, so it always precedes — Fenwick
-            // prefix-minimum over lane0 answers "cheapest kept entry with
-            // lane0 ≤ mine"
-            let max_l0 = entries.iter().map(|e| sig_lane(e.0, 0)).max().unwrap_or(0) as usize;
-            s.fen.clear();
-            s.fen.resize(max_l0 + 2, f64::INFINITY);
-            for (i, &(sig, cost)) in entries.iter().enumerate() {
-                let l0 = sig_lane(sig, 0) as usize;
-                if fen_query(&s.fen, l0) <= cost {
-                    s.keep[i] = false;
-                } else {
-                    fen_update(&mut s.fen, l0, cost);
-                }
-            }
-        }
-        _ => {
-            // h in {3, 4}: quadratic sweep, bounded to modest tables
-            if n > 6000 {
-                return None;
-            }
-            s.keyed.clear();
-            s.keyed.extend(
-                entries
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(sig, cost))| (cost, sig, i as u32)),
-            );
-            s.keyed
-                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            s.kept_sigs.clear();
-            'outer: for &(_, sig, i) in &s.keyed {
-                // earlier entries have lower cost: dominated iff some kept
-                // entry is lane-wise <= sig
-                for &k in &s.kept_sigs {
-                    let mut dom = true;
-                    for lane in 0..h {
-                        if sig_lane(k, lane) > sig_lane(sig, lane) {
-                            dom = false;
-                            break;
-                        }
-                    }
-                    if dom {
-                        s.keep[i as usize] = false;
-                        continue 'outer;
-                    }
-                }
-                s.kept_sigs.push(sig);
-            }
-        }
+    s.keep.resize(entries.len(), true);
+    match Sweep::choose(entries, h) {
+        Sweep::Grid(dims) => grid_sweep(entries, h, dims, s),
+        Sweep::Divide => divide_sweep(entries, h, s),
     }
     Some(&s.keep)
 }
 
-/// Prefix-minimum query over a Fenwick array (`data[0]` unused).
-fn fen_query(data: &[f64], i: usize) -> f64 {
-    let mut i = i + 1;
-    let mut m = f64::INFINITY;
-    while i > 0 {
-        m = m.min(data[i]);
-        i -= i & i.wrapping_neg();
+/// [`Sweep::Grid`]: visits the table in signature order; each entry asks
+/// the grid for the cheapest kept entry at or below it on lanes `0..h−1`,
+/// and a kept entry writes its cost into the grid.
+fn grid_sweep(
+    entries: &[(u64, f64)],
+    h: usize,
+    dims: [usize; MAX_HEIGHT - 1],
+    s: &mut PruneScratch,
+) {
+    s.fen.clear();
+    s.fen.resize(dims.iter().product(), f64::INFINITY);
+    for (i, &(sig, cost)) in entries.iter().enumerate() {
+        let at = grid_cell(sig, h);
+        if grid_any_le(&s.fen, dims, at, cost) {
+            s.keep[i] = false;
+        } else {
+            grid_insert(&mut s.fen, dims, at, cost);
+        }
     }
-    m
 }
 
-/// Point update of a Fenwick prefix-minimum array.
-fn fen_update(data: &mut [f64], i: usize, v: f64) {
-    let mut i = i + 1;
-    while i < data.len() {
-        if v < data[i] {
-            data[i] = v;
+/// Whether some cell of the prefix box `[0, at]` of a three-dimensional
+/// Fenwick prefix-minimum grid holds a cost ≤ `cost`. The grid is a
+/// Fenwick tree of rows, and each row one of [`fen_any_le`]'s arrays.
+fn grid_any_le(
+    grid: &[f64],
+    dims: [usize; MAX_HEIGHT - 1],
+    at: [usize; MAX_HEIGHT - 1],
+    cost: f64,
+) -> bool {
+    let [_, d1, d2] = dims;
+    let mut a = at[0] as isize;
+    while a >= 0 {
+        let mut b = at[1] as isize;
+        while b >= 0 {
+            let row = (a as usize * d1 + b as usize) * d2;
+            if fen_any_le(&grid[row..row + d2], at[2], cost) {
+                return true;
+            }
+            b = (b & (b + 1)) - 1;
         }
-        i += i & i.wrapping_neg();
+        a = (a & (a + 1)) - 1;
+    }
+    false
+}
+
+/// Lowers every cell of the grid that covers `at` to at most `cost`.
+fn grid_insert(
+    grid: &mut [f64],
+    dims: [usize; MAX_HEIGHT - 1],
+    at: [usize; MAX_HEIGHT - 1],
+    cost: f64,
+) {
+    let [d0, d1, d2] = dims;
+    let mut a = at[0];
+    while a < d0 {
+        let mut b = at[1];
+        while b < d1 {
+            let row = (a * d1 + b) * d2;
+            fen_insert(&mut grid[row..row + d2], at[2], cost);
+            b |= b + 1;
+        }
+        a |= a + 1;
+    }
+}
+
+/// The divide sweep's view of one table entry.
+#[derive(Clone, Copy)]
+struct Pt {
+    sig: u64,
+    cost: f64,
+    /// Index in the table.
+    at: u32,
+    /// Rank of lane `h−2` among the table's distinct values of it.
+    rank: u32,
+    /// [`SOURCE`], [`QUERY`] or both.
+    role: u8,
+}
+
+/// A point that may dominate the query points after it.
+const SOURCE: u8 = 1;
+/// A point whose domination is being decided.
+const QUERY: u8 = 2;
+
+/// [`Sweep::Divide`]: CDQ divide and conquer on the table in signature
+/// order, where every entry is both a source and a query.
+fn divide_sweep(entries: &[(u64, f64)], h: usize, s: &mut PruneScratch) {
+    debug_assert!(h >= 2, "a one-lane table always fits the grid");
+    let last = h - 2;
+    s.ranks.clear();
+    s.ranks
+        .extend(entries.iter().map(|&(sig, _)| sig_lane(sig, last)));
+    s.ranks.sort_unstable();
+    s.ranks.dedup();
+    s.fen.clear();
+    s.fen.resize(s.ranks.len(), f64::INFINITY);
+    let [all, cross @ ..] = &mut s.pts;
+    all.clear();
+    for (i, &(sig, cost)) in entries.iter().enumerate() {
+        let rank = s.ranks.partition_point(|&v| v < sig_lane(sig, last)) as u32;
+        all.push(Pt {
+            sig,
+            cost,
+            at: i as u32,
+            rank,
+            role: SOURCE | QUERY,
+        });
+    }
+    cdq(all, 0, h - 1, cross, &mut s.fen, &mut s.keep);
+}
+
+/// Marks every query point of `pts` that an earlier source point of
+/// `pts` dominates on lanes `k..d` and on cost. The order of `pts`
+/// already accounts for every other lane: a source that precedes a query
+/// is ≤ it on lane `h−1` (`d = h−1`) and on lanes `0..k`.
+///
+/// With one lane left, a Fenwick prefix minimum over its ranks answers
+/// each query in order. Otherwise split the sequence in half, recurse on
+/// each half, and settle the sources of the first half against the
+/// queries of the second: sorted by lane `k`, sources first among equal
+/// values, their order accounts for lane `k` too, one level down.
+/// Entries already found dominated are dropped from the cross sets: a
+/// dropped source's own dominator reaches the same queries.
+fn cdq(
+    pts: &mut [Pt],
+    k: usize,
+    d: usize,
+    cross: &mut [Vec<Pt>],
+    fen: &mut [f64],
+    keep: &mut [bool],
+) {
+    if k + 1 == d {
+        for p in pts.iter() {
+            let at = p.at as usize;
+            if p.role & QUERY != 0 && keep[at] && fen_any_le(fen, p.rank as usize, p.cost) {
+                keep[at] = false;
+            } else if p.role & SOURCE != 0 && keep[at] {
+                fen_insert(fen, p.rank as usize, p.cost);
+            }
+        }
+        for p in pts.iter().filter(|p| p.role & SOURCE != 0) {
+            fen_clear(fen, p.rank as usize);
+        }
+        return;
+    }
+    if pts.len() < 2 {
+        return;
+    }
+    let (lo, hi) = pts.split_at_mut(pts.len() / 2);
+    cdq(lo, k, d, cross, fen, keep);
+    cdq(hi, k, d, cross, fen, keep);
+    let (buf, deeper) = cross
+        .split_first_mut()
+        .expect("a cross buffer per divided lane");
+    buf.clear();
+    let live = |p: &&Pt, role: u8| p.role & role != 0 && keep[p.at as usize];
+    buf.extend(
+        lo.iter()
+            .filter(|p| live(p, SOURCE))
+            .map(|&p| Pt { role: SOURCE, ..p }),
+    );
+    let sources = buf.len();
+    buf.extend(
+        hi.iter()
+            .filter(|p| live(p, QUERY))
+            .map(|&p| Pt { role: QUERY, ..p }),
+    );
+    if sources == 0 || sources == buf.len() {
+        return;
+    }
+    buf.sort_unstable_by_key(|p| (sig_lane(p.sig, k), p.role));
+    cdq(buf, k + 1, d, deeper, fen, keep);
+}
+
+/// Whether some position `0..=i` of a 0-based Fenwick prefix-minimum
+/// array holds a cost ≤ `cost`.
+fn fen_any_le(fen: &[f64], i: usize, cost: f64) -> bool {
+    let mut i = i as isize;
+    while i >= 0 {
+        if fen[i as usize] <= cost {
+            return true;
+        }
+        i = (i & (i + 1)) - 1;
+    }
+    false
+}
+
+/// Point update of a 0-based Fenwick prefix-minimum array.
+fn fen_insert(fen: &mut [f64], mut i: usize, cost: f64) {
+    while i < fen.len() {
+        if cost < fen[i] {
+            fen[i] = cost;
+        }
+        i |= i + 1;
+    }
+}
+
+/// Resets every cell [`fen_insert`] at `i` may have lowered.
+fn fen_clear(fen: &mut [f64], mut i: usize) {
+    while i < fen.len() {
+        fen[i] = f64::INFINITY;
+        i |= i + 1;
     }
 }
 
@@ -1064,6 +1319,110 @@ mod tests {
         sig_unpack_into(sig, 4, &mut buf);
         assert_eq!(buf, vec![17, 0, 3, 1]);
         assert_eq!(sig_lanes(sig, 2).collect::<Vec<_>>(), vec![17, 0]);
+    }
+
+    /// The rule [`prune_keep`] implements, by brute force over all pairs:
+    /// an entry goes when another is ≤ on every lane and ≤ in cost.
+    fn all_pairs_keep(entries: &[(u64, f64)], h: usize) -> Vec<bool> {
+        let dominates = |(a, ac): (u64, f64), (b, bc): (u64, f64)| {
+            a != b && ac <= bc && (0..h).all(|k| sig_lane(a, k) <= sig_lane(b, k))
+        };
+        entries
+            .iter()
+            .map(|&e| !entries.iter().any(|&o| dominates(o, e)))
+            .collect()
+    }
+
+    /// A signature-sorted table of at most `n` distinct signatures with
+    /// lanes in `0..=lane_max` (a quarter of them 0) and costs drawn from
+    /// `cost_levels` values, so equal costs are common when that is small.
+    fn random_table(
+        seed: &mut u64,
+        h: usize,
+        n: usize,
+        lane_max: u32,
+        cost_levels: u64,
+    ) -> Vec<(u64, f64)> {
+        let mut next = || {
+            // splitmix64
+            *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut sigs: Vec<u64> = (0..n)
+            .map(|_| {
+                (0..h).fold(0u64, |sig, k| {
+                    let lane = if next() % 4 == 0 {
+                        0
+                    } else {
+                        (next() % (lane_max as u64 + 1)) as u32
+                    };
+                    sig_with_lane(sig, k, lane)
+                })
+            })
+            .collect();
+        sigs.sort_unstable();
+        sigs.dedup();
+        sigs.into_iter()
+            .map(|sig| (sig, (next() % cost_levels) as f64 * 0.25))
+            .collect()
+    }
+
+    #[test]
+    fn prune_keep_matches_the_all_pairs_rule_on_both_sweeps() {
+        let mut seed = 0x5EED_2014;
+        let mut s = PruneScratch::default();
+        // (lane_max, entries): narrow lanes always fit the grid; at
+        // `lane_max = 20` the grid holds 21^(h−1) cells, too many per
+        // entry at h = 4; 16-bit-wide lanes never fit it past h = 1
+        let shapes = [(3u32, 60usize), (20, 300), (60_000, 200), (60_000, 1_500)];
+        let mut ran = [[0usize; 2]; MAX_HEIGHT + 1];
+        for h in 1..=MAX_HEIGHT {
+            for &(lane_max, n) in &shapes {
+                // h = 1 needs a lane range as wide as the table
+                let lane_max = if h == 1 {
+                    lane_max.max(n as u32)
+                } else {
+                    lane_max
+                };
+                for cost_levels in [3, 1 << 20] {
+                    for _ in 0..4 {
+                        let table = random_table(&mut seed, h, n, lane_max, cost_levels);
+                        assert!(table.len() > PRUNE_MIN_TABLE, "h {h} lanes ≤ {lane_max}");
+                        let want = all_pairs_keep(&table, h);
+                        let why = format!("h {h}, {} entries, lanes ≤ {lane_max}", table.len());
+                        let grid_fits = h == 1 || lane_max == 3 || (lane_max == 20 && h <= 3);
+                        let sweep = Sweep::choose(&table, h);
+                        assert_eq!(matches!(sweep, Sweep::Grid(_)), grid_fits, "{why}");
+                        ran[h][usize::from(sweep == Sweep::Divide)] += 1;
+                        let got = prune_keep(&table, h, &mut s).expect("over the threshold");
+                        assert_eq!(got, &want[..], "{why}, {sweep:?}");
+                        // each sweep on its own, wherever it can run
+                        let dims = grid_dims(&table, h);
+                        if dims.iter().product::<usize>() <= 1 << 22 {
+                            s.keep.clear();
+                            s.keep.resize(table.len(), true);
+                            grid_sweep(&table, h, dims, &mut s);
+                            assert_eq!(s.keep, want, "{why}, grid");
+                        }
+                        if h >= 2 {
+                            s.keep.clear();
+                            s.keep.resize(table.len(), true);
+                            divide_sweep(&table, h, &mut s);
+                            assert_eq!(s.keep, want, "{why}, divide");
+                        }
+                    }
+                }
+            }
+        }
+        for h in 2..=MAX_HEIGHT {
+            assert!(ran[h][0] > 0 && ran[h][1] > 0, "h {h}: {:?}", ran[h]);
+        }
+        // a table at the threshold is left whole
+        let small = random_table(&mut seed, 3, 40, 3, 3);
+        assert!(prune_keep(&small[..PRUNE_MIN_TABLE], 3, &mut s).is_none());
     }
 
     #[test]

@@ -22,6 +22,16 @@
 //! part of the protocol), while on separate connections it is answered
 //! immediately — monitoring traffic should use its own connection.
 //!
+//! # Bounds
+//!
+//! A connection holds at most one unterminated line of
+//! [`MAX_LINE_BYTES`] (a longer one draws `err bad-request` and closes
+//! the connection). While its unsent reply bytes exceed
+//! [`MAX_UNSENT_BYTES`] or its queued replies [`MAX_QUEUED_REPLIES`], the
+//! loop neither polls it for input nor frames the lines it has buffered:
+//! a client that pipelines without reading stalls only itself, and
+//! resumes once it reads.
+//!
 //! # Shutdown
 //!
 //! `shutdown` (or [`crate::Server::shutdown`]) raises the stop flag and
@@ -33,7 +43,7 @@
 
 use crate::netpoll::{poll_ready, PollEntry, WakePipe, POLLERR, POLLIN, POLLNVAL, POLLOUT};
 use crate::pool::SolveJob;
-use crate::protocol::{ErrCode, WireError};
+use crate::protocol::{ErrCode, WireError, MAX_LINE_BYTES, MAX_QUEUED_REPLIES, MAX_UNSENT_BYTES};
 use crate::server::{route_inline, Routed, Shared};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -82,13 +92,18 @@ enum Slot {
 /// One multiplexed client connection.
 struct Conn {
     stream: TcpStream,
-    /// Bytes read but not yet framed into a complete line.
+    /// Bytes read; those before `rpos` are framed and consumed.
     rbuf: Vec<u8>,
-    /// Length of the prefix of `rbuf` already searched for a newline, so
-    /// a long line arriving over many reads is scanned once, not per read.
+    /// Start of the unconsumed bytes of `rbuf`.
+    rpos: usize,
+    /// End of the part of `rbuf` already searched for a newline, so a
+    /// long line arriving over many reads is scanned once, not per read.
     scanned: usize,
-    /// Reply bytes accepted by the protocol but not yet by the kernel.
+    /// Reply bytes accepted by the protocol; those before `wpos` are
+    /// already accepted by the kernel too.
     wbuf: Vec<u8>,
+    /// Start of the unsent bytes of `wbuf`.
+    wpos: usize,
     /// Ordered reply slots (front = oldest request).
     slots: VecDeque<Slot>,
     /// Client half-closed its sending side (EOF seen).
@@ -102,8 +117,10 @@ impl Conn {
         Self {
             stream,
             rbuf: Vec::new(),
+            rpos: 0,
             scanned: 0,
             wbuf: Vec::new(),
+            wpos: 0,
             slots: VecDeque::new(),
             read_closed: false,
             dead: false,
@@ -131,37 +148,23 @@ impl Conn {
         }
     }
 
-    /// Writes as much of the buffer as the socket accepts right now.
-    fn flush(&mut self) {
-        while !self.wbuf.is_empty() {
-            match self.stream.write(&self.wbuf) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => {
-                    self.wbuf.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
+    /// Reply bytes the socket has not accepted yet.
+    fn unsent(&self) -> usize {
+        self.wbuf.len() - self.wpos
     }
 
-    /// Reads everything currently available; returns complete lines.
-    fn read_lines(&mut self) -> Vec<String> {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
+    /// Writes as much of the buffer as the socket accepts right now.
+    /// Writes advance an offset; the buffer is compacted once it has
+    /// drained, or once its sent prefix outweighs the rest, so each byte
+    /// moves at most once however many partial writes it takes.
+    fn flush(&mut self) {
+        while self.unsent() > 0 {
+            match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
-                    self.read_closed = true;
+                    self.dead = true;
                     break;
                 }
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.wpos += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -170,24 +173,128 @@ impl Conn {
                 }
             }
         }
-        let mut lines = Vec::new();
-        let mut start = 0;
-        let mut from = self.scanned;
-        while let Some(pos) = self.rbuf[from..].iter().position(|&b| b == b'\n') {
-            let end = from + pos;
-            lines.push(String::from_utf8_lossy(&self.rbuf[start..end]).into_owned());
-            start = end + 1;
-            from = start;
+        if self.unsent() == 0 {
+            self.wbuf.clear();
+            self.wpos = 0;
+        } else if self.wpos > self.unsent() {
+            self.wbuf.drain(..self.wpos);
+            self.wpos = 0;
         }
-        self.rbuf.drain(..start);
-        self.scanned = self.rbuf.len();
-        lines
+    }
+
+    /// Whether the loop may take more requests from this connection: its
+    /// unsent replies and queued slots are both under their marks.
+    fn accepts_input(&self) -> bool {
+        self.unsent() <= MAX_UNSENT_BYTES && self.slots.len() <= MAX_QUEUED_REPLIES
+    }
+
+    /// Frames the next complete line of the read buffer, if it holds one.
+    fn next_line(&mut self) -> Option<String> {
+        let pos = self.rbuf[self.scanned..].iter().position(|&b| b == b'\n');
+        let Some(pos) = pos else {
+            self.scanned = self.rbuf.len();
+            return None;
+        };
+        let end = self.scanned + pos;
+        let line = String::from_utf8_lossy(&self.rbuf[self.rpos..end]).into_owned();
+        self.rpos = end + 1;
+        self.scanned = self.rpos;
+        Some(line)
+    }
+
+    /// Reads one chunk into the buffer, dropping the consumed prefix
+    /// first (only the unterminated tail moves). Returns whether it
+    /// read anything; EOF and socket errors are recorded on the conn.
+    fn read_chunk(&mut self) -> bool {
+        if self.rpos > 0 {
+            self.rbuf.drain(..self.rpos);
+            self.scanned -= self.rpos;
+            self.rpos = 0;
+        }
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    self.read_closed = true;
+                    return false;
+                }
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    return true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.dead = true;
+                    return false;
+                }
+            }
+        }
     }
 
     /// True once nothing more can happen on this connection.
     fn finished(&self) -> bool {
-        self.dead || (self.read_closed && self.wbuf.is_empty() && self.slots.is_empty())
+        self.dead
+            || (self.read_closed
+                && self.scanned == self.rbuf.len()
+                && self.unsent() == 0
+                && self.slots.is_empty())
     }
+}
+
+/// Routes the lines a connection has buffered, reading more (only when
+/// `readable`) as each runs out, until it has no complete line left;
+/// then flushes what is ready. Above a high-water mark it flushes first
+/// and stops only if it is still above: then either unsent bytes keep
+/// `POLLOUT` armed or queued slots await completions, and each wakes the
+/// loop, so buffered lines never wait for the poll timeout.
+fn serve(
+    conn_id: u64,
+    conn: &mut Conn,
+    readable: bool,
+    shared: &Shared,
+    completions: &Arc<Completions>,
+    token_conn: &mut HashMap<u64, u64>,
+    next_token: &mut u64,
+) {
+    while !conn.dead {
+        if !conn.accepts_input() {
+            conn.flush();
+            if !conn.accepts_input() {
+                return;
+            }
+        }
+        if let Some(line) = conn.next_line() {
+            handle_line(
+                conn_id,
+                &line,
+                conn,
+                shared,
+                completions,
+                token_conn,
+                next_token,
+            );
+            conn.pump();
+            continue;
+        }
+        if conn.rbuf.len() - conn.rpos > MAX_LINE_BYTES {
+            let msg = format!("request line longer than {MAX_LINE_BYTES} bytes");
+            shared.metrics.requests.inc();
+            shared.metrics.bad_requests.inc();
+            conn.slots.push_back(Slot::Ready(
+                WireError::new(ErrCode::BadRequest, msg).to_line(),
+            ));
+            conn.read_closed = true;
+            conn.rbuf = Vec::new();
+            (conn.rpos, conn.scanned) = (0, 0);
+            break;
+        }
+        if !readable || conn.read_closed || !conn.read_chunk() {
+            break;
+        }
+    }
+    conn.pump();
+    conn.flush();
 }
 
 /// Routes one framed line and queues its reply slot.
@@ -267,10 +374,10 @@ pub(crate) fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
         entries.push(PollEntry::new(completions.wake.read_fd(), POLLIN));
         for (&id, c) in conns.iter() {
             let mut interest: i16 = 0;
-            if !c.read_closed {
+            if !c.read_closed && c.accepts_input() {
                 interest |= POLLIN;
             }
-            if !c.wbuf.is_empty() {
+            if c.unsent() > 0 {
                 interest |= POLLOUT;
             }
             entries.push(PollEntry::new(c.stream.as_raw_fd(), interest));
@@ -314,7 +421,10 @@ pub(crate) fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
             }
         }
 
-        // 3. per-connection IO on the fds poll reported
+        // 3. per-connection IO on the fds poll reported: flush first, so
+        //    a client that read its replies drops under the high-water
+        //    marks, then route buffered and newly readable lines (every
+        //    connection, since completions may also have freed one)
         for (i, entry) in entries.iter().enumerate().skip(2) {
             let id = slot_ids[i - 2];
             let Some(conn) = conns.get_mut(&id) else {
@@ -324,24 +434,16 @@ pub(crate) fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
                 conn.dead = true;
                 continue;
             }
-            if entry.readable() {
-                for line in conn.read_lines() {
-                    handle_line(
-                        id,
-                        &line,
-                        conns.get_mut(&id).expect("conn alive while handling"),
-                        &shared,
-                        &completions,
-                        &mut token_conn,
-                        &mut next_token,
-                    );
-                }
-            }
-            let conn = conns.get_mut(&id).expect("conn alive after routing");
-            conn.pump();
-            if !conn.wbuf.is_empty() {
-                conn.flush();
-            }
+            conn.flush();
+            serve(
+                id,
+                conn,
+                entry.readable(),
+                &shared,
+                &completions,
+                &mut token_conn,
+                &mut next_token,
+            );
         }
 
         // 4. reap finished connections (and forget their pending tokens —
@@ -376,9 +478,9 @@ pub(crate) fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
     while Instant::now() < deadline {
         let mut unsent = false;
         for conn in conns.values_mut() {
-            if !conn.dead && !conn.wbuf.is_empty() {
+            if !conn.dead && conn.unsent() > 0 {
                 conn.flush();
-                unsent |= !conn.dead && !conn.wbuf.is_empty();
+                unsent |= !conn.dead && conn.unsent() > 0;
             }
         }
         if !unsent {

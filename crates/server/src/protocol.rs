@@ -131,6 +131,18 @@ pub const MAX_INLINE_EDGES: usize = 1_048_576;
 /// `Instant + Duration` deadline arithmetic (itself a wire-reachable
 /// panic); anything above ten minutes is effectively "no deadline".
 pub const MAX_DEADLINE_MS: u64 = 600_000;
+/// Longest request line the event-loop front end buffers. A line still
+/// unterminated past this size draws `err bad-request`, and the
+/// connection closes once its earlier replies are sent.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+/// High-water mark on a connection's reply bytes not yet accepted by its
+/// socket. Above it the event loop stops reading the connection's
+/// requests until the client reads, so a client that pipelines without
+/// reading stalls only itself.
+pub const MAX_UNSENT_BYTES: usize = 1 << 20;
+/// High-water mark on a connection's queued replies (answered or still
+/// solving), with the same effect as [`MAX_UNSENT_BYTES`].
+pub const MAX_QUEUED_REPLIES: usize = 1024;
 
 /// How a request describes its communication graph.
 #[derive(Clone, Debug, PartialEq)]

@@ -3,7 +3,10 @@
 //! engine reproduces its tie-breaks — first candidate in
 //! `(child entry, j, running entry)` order wins a signature, a later one
 //! replaces it only at strictly lower cost — so both must return
-//! bit-identical [`RelaxedSolution`]s.
+//! bit-identical [`RelaxedSolution`]s. With pruning on, it drops the
+//! dominated entries of every fold table above `PRUNE_MIN_TABLE`, at
+//! every height and size, by an all-pairs scan that shares no code with
+//! the engine's sweeps.
 
 #![allow(clippy::needless_range_loop)] // lane-indexed loops mirror the arena engine
 
@@ -13,11 +16,9 @@ use hgp::graph::tree::RootedTree;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-/// Fold tables at or below this size are kept whole.
+/// Fold tables at or below this size are kept whole; every larger one is
+/// pruned, at every height.
 const PRUNE_MIN_TABLE: usize = 9;
-
-/// At `h ≥ 3`, fold tables above this size are kept whole.
-const PRUNE_MAX_TABLE_H3: usize = 6000;
 
 #[derive(Clone, Copy, Debug)]
 struct Step {
@@ -189,10 +190,10 @@ pub fn solve_legacy(
 /// start an optimal completion, because later folds only add demand to
 /// the lanes and charge the levels whose lanes are non-zero. This is the
 /// rule `hgp_core::relaxed` states for its pruning, applied here by brute
-/// force with the same size limits, so the two filters share no code.
+/// force over all pairs with the same size threshold, so the two filters
+/// share no code.
 fn pareto_prune(table: &mut BTreeMap<u64, Step>, h: usize) {
-    let n = table.len();
-    if n <= PRUNE_MIN_TABLE || (h >= 3 && n > PRUNE_MAX_TABLE_H3) {
+    if table.len() <= PRUNE_MIN_TABLE {
         return;
     }
     let entries: Vec<(u64, f64)> = table.iter().map(|(&s, st)| (s, st.cost)).collect();

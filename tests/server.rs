@@ -2,6 +2,7 @@
 //! mixing `solve` and `place-incremental` traffic over real TCP, then a
 //! reconciliation pass over the `stats2` counters.
 
+use hgp::server::protocol::{MAX_LINE_BYTES, MAX_UNSENT_BYTES};
 use hgp::server::{Server, ServerConfig};
 use hgp::workloads::requests::{
     reply_field, request_script, substitute_session, RequestScriptOpts,
@@ -11,7 +12,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One blocking request/reply client.
 struct Client {
@@ -419,6 +420,145 @@ fn a_line_split_over_many_writes_is_framed_once() {
     let whole = client.req(line);
     assert_eq!(reply_field(&whole, "cache"), Some("hit"), "{whole}");
     assert_eq!(reply_field(&split, "cost"), reply_field(&whole, "cost"));
+    server.shutdown();
+}
+
+/// A client that pipelines without reading stalls only itself: once its
+/// unsent replies pass the high-water mark the event loop stops taking
+/// its lines, a second connection is still answered at once, and when
+/// the client does read it gets every reply, in order.
+#[test]
+fn a_client_that_never_reads_stalls_only_itself() {
+    const LINES: u64 = 100_000;
+    let server = Server::start(ServerConfig::builder().workers(1).build()).expect("start server");
+    let mut greedy = Client::connect(server.addr());
+    // the requests go from their own thread: once the server stops
+    // reading them, the socket buffers fill and the write blocks
+    let mut writer = greedy.writer.try_clone().unwrap();
+    let pipeline = std::thread::spawn(move || {
+        writer
+            .write_all("stats2\n".repeat(LINES as usize).as_bytes())
+            .unwrap()
+    });
+
+    // poll from a second connection until the server has taken some of
+    // the greedy client's lines and stopped; `req.lines` counts the
+    // monitor's own too
+    let mut monitor = Client::connect(server.addr());
+    let (mut asked, mut taken) = (0u64, 0u64);
+    let reply_len = loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        let stats2 = monitor.req("stats2");
+        let waited = t0.elapsed();
+        assert!(waited < Duration::from_secs(1), "stats2 waited {waited:?}");
+        asked += 1;
+        let now = field_u64(&stats2, "req.lines") - asked;
+        if now == taken && now > 0 {
+            break stats2.len();
+        }
+        taken = now;
+    };
+    // the greedy client's replies, at most the marked backlog plus what
+    // the kernel's socket buffers hold, are a fraction of the pipeline
+    let absorbed = (taken as usize).saturating_mul(reply_len);
+    assert!(
+        taken < LINES / 2,
+        "the server took {taken} of {LINES} lines ({absorbed} reply bytes, mark {MAX_UNSENT_BYTES}) from a client that reads nothing"
+    );
+
+    // reading drains the backlog: every reply arrives, strictly in order
+    let mut last = 0;
+    for i in 0..LINES {
+        let mut reply = String::new();
+        greedy.reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("ok version=2"), "reply {i}: {reply:?}");
+        let seen = field_u64(&reply, "req.lines");
+        assert!(seen > last, "reply {i} out of order: {seen} after {last}");
+        last = seen;
+    }
+    pipeline.join().unwrap();
+    let stats2 = monitor.req("stats2");
+    assert_eq!(
+        field_u64(&stats2, "req.lines"),
+        LINES + asked + 1,
+        "{stats2}"
+    );
+    server.shutdown();
+}
+
+/// A client that pipelines a burst and reads as it goes is answered
+/// straight through: crossing the unsent-reply mark pauses its lines only
+/// until the replies drain, never until the event loop's poll timeout
+/// (100 ms) lets it look at them again.
+#[test]
+fn a_pipelined_burst_read_as_it_goes_never_waits_for_the_poll_timeout() {
+    // 16 100 bytes: one 16 KiB read, so no later bytes arrive to wake the
+    // loop; about 1.2 MB of replies
+    const LINES: usize = 2_300;
+    const BURSTS: usize = 5;
+    let server = Server::start(ServerConfig::builder().workers(1).build()).expect("start server");
+    let mut client = Client::connect(server.addr());
+    let burst = "stats2\n".repeat(LINES);
+    // scheduling noise can stretch one gap; the stall would hit every burst
+    let mut best = Duration::MAX;
+    for _ in 0..BURSTS {
+        client.writer.write_all(burst.as_bytes()).unwrap();
+        let (mut slowest, mut bytes) = (Duration::ZERO, 0);
+        let mut last = Instant::now();
+        for i in 0..LINES {
+            let mut reply = String::new();
+            client.reader.read_line(&mut reply).unwrap();
+            assert!(reply.starts_with("ok version=2"), "reply {i}: {reply:?}");
+            slowest = slowest.max(last.elapsed());
+            last = Instant::now();
+            bytes += reply.len();
+        }
+        assert!(
+            bytes > MAX_UNSENT_BYTES,
+            "a burst must cross the mark: {bytes} reply bytes"
+        );
+        best = best.min(slowest);
+    }
+    assert!(
+        best < Duration::from_millis(50),
+        "every burst had a reply wait {best:?} or more"
+    );
+    server.shutdown();
+}
+
+/// A request line still unterminated past `MAX_LINE_BYTES` draws
+/// `err bad-request` after the replies to the lines before it, and the
+/// server then closes the connection.
+#[test]
+fn an_over_long_line_is_refused_and_closes_the_connection() {
+    let server = Server::start(ServerConfig::builder().workers(1).build()).expect("start server");
+    let mut client = Client::connect(server.addr());
+    client.writer.write_all(b"stats2\n").unwrap();
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = MAX_LINE_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        client.writer.write_all(&chunk[..n]).unwrap();
+        left -= n;
+    }
+    let mut next_reply = || {
+        let mut reply = String::new();
+        client.reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    let stats2 = next_reply();
+    assert!(stats2.starts_with("ok version=2"), "{stats2:?}");
+    let refused = next_reply();
+    assert!(refused.starts_with("err bad-request"), "{refused:?}");
+    assert_eq!(
+        next_reply(),
+        "",
+        "the connection should close after the error"
+    );
+    // the server itself serves on, and counted the line as bad
+    let stats2 = Client::connect(server.addr()).req("stats2");
+    assert_eq!(field_u64(&stats2, "req.bad"), 1, "{stats2}");
     server.shutdown();
 }
 
