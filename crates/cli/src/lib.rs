@@ -21,7 +21,7 @@ usage:
   hgp partition --graph FILE.metis --machine SHAPE[:CMS] [options]
   hgp info --graph FILE.metis
   hgp serve [--addr HOST:PORT] [--workers N] [--queue N] [--threads N]
-            [--cache-capacity N] [--max-sessions N] [--legacy-threads]
+            [--cache-capacity N] [--max-sessions N]
   hgp client --addr HOST:PORT [--seed S] [--solves N] [--topologies N]
              [--incr-ops N] [--deadline-frac F] [--machine SHAPE[:CMS]]
 
@@ -42,11 +42,10 @@ options for `partition`:
 thread demand is workers x threads).
 
 `serve` runs the placement daemon (newline-delimited text protocol; see
-DESIGN.md) until a client sends `shutdown`. Connections are multiplexed
-by an event loop by default; `--legacy-threads` restores the old
-thread-per-connection front end (same wire protocol, lower connection
-capacity). `client` plays a deterministic closed-loop request script
-against a running server and summarises the replies.
+DESIGN.md) until a client sends `shutdown`. One event loop multiplexes
+every connection; the daemon is unix-only. `client` plays a deterministic
+closed-loop request script against a running server and summarises the
+replies.
 
 machine SHAPE examples: 16 | 2x8 | 4x8x2:8,2,1,0";
 
@@ -93,8 +92,6 @@ pub enum Cli {
         cache_capacity: usize,
         /// Maximum open incremental sessions.
         max_sessions: usize,
-        /// Thread-per-connection front end instead of the event loop.
-        legacy_threads: bool,
     },
     /// `hgp client …`
     Client {
@@ -129,7 +126,6 @@ impl Cli {
         let mut threads = 0usize;
         let mut do_refine = false;
         let mut multilevel = false;
-        let mut legacy_threads = false;
         let mut addr = None;
         let mut workers = 4usize;
         let mut queue = 64usize;
@@ -158,7 +154,6 @@ impl Cli {
                 "--threads" => threads = num("--threads", value("--threads")?)?,
                 "--refine" => do_refine = true,
                 "--multilevel" => multilevel = true,
-                "--legacy-threads" => legacy_threads = true,
                 "--addr" => addr = Some(value("--addr")?),
                 "--workers" => workers = num("--workers", value("--workers")?)?,
                 "--queue" => queue = num("--queue", value("--queue")?)?,
@@ -197,7 +192,6 @@ impl Cli {
                 threads,
                 cache_capacity,
                 max_sessions: max_sessions.max(1),
-                legacy_threads,
             }),
             "client" => Ok(Cli::Client {
                 addr: addr.ok_or("--addr is required for client")?,
@@ -336,7 +330,6 @@ pub fn run(cli: &Cli, out: &mut impl Write) -> Result<(), String> {
             threads,
             cache_capacity,
             max_sessions,
-            legacy_threads,
         } => {
             let mut server = Server::start(
                 ServerConfig::builder()
@@ -346,7 +339,6 @@ pub fn run(cli: &Cli, out: &mut impl Write) -> Result<(), String> {
                     .parallelism(Parallelism::from_threads(*threads))
                     .cache_capacity(*cache_capacity)
                     .max_sessions(*max_sessions)
-                    .legacy_threads(*legacy_threads)
                     .build(),
             )
             .map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -489,6 +481,11 @@ mod tests {
             "client needs --addr"
         );
         assert!(Cli::parse(&argv("serve --workers x")).is_err());
+        assert_eq!(
+            Cli::parse(&argv("serve --legacy-threads")),
+            Err("unknown flag --legacy-threads".to_string()),
+            "`serve` has no front-end flag"
+        );
     }
 
     #[test]
@@ -506,18 +503,8 @@ mod tests {
                 threads: 1,
                 cache_capacity: 32,
                 max_sessions: 256,
-                legacy_threads: false,
             }
         );
-        // the legacy front end stays selectable
-        let cli = Cli::parse(&argv("serve --legacy-threads")).unwrap();
-        assert!(matches!(
-            cli,
-            Cli::Serve {
-                legacy_threads: true,
-                ..
-            }
-        ));
         let cli = Cli::parse(&argv(
             "client --addr 127.0.0.1:7311 --seed 5 --solves 6 --topologies 2",
         ))

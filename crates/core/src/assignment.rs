@@ -61,12 +61,15 @@ impl Assignment {
 
     /// Equation 1: total communication cost
     /// `Σ_(u,v)∈E cm(LCA(p(u), p(v))) · w(u,v)`.
+    ///
+    /// The fold starts from `+0.0`, so an edgeless instance costs `0`,
+    /// not the `-0.0` that `Iterator::sum` starts from.
     pub fn cost(&self, inst: &Instance, h: &Hierarchy) -> f64 {
         assert_eq!(self.leaf_of.len(), inst.num_tasks());
         inst.graph()
             .edges()
             .map(|(_, u, v, w)| w * h.edge_multiplier(self.leaf(u.index()), self.leaf(v.index())))
-            .sum()
+            .fold(0.0, |acc, c| acc + c)
     }
 
     /// Per-leaf loads (total demand assigned to each leaf).
@@ -133,6 +136,14 @@ mod tests {
         let c = Assignment::new(vec![0, 0, 0, 0], &h);
         assert!((c.cost(&inst, &h) - 0.0).abs() < 1e-12);
         assert!(!c.is_feasible(&inst, &h, 1.0));
+    }
+
+    #[test]
+    fn edgeless_cost_is_positive_zero() {
+        let (_, h) = setup();
+        let inst = Instance::uniform(Graph::from_edges(2, &[]), 0.5);
+        let a = Assignment::new(vec![0, 3], &h);
+        assert_eq!(a.cost(&inst, &h).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! The event-driven front end: one thread multiplexing every connection.
 //!
 //! A readiness loop built on the [`crate::netpoll`] shim owns the
-//! listener, a [`WakePipe`], and every client connection — all
+//! listener, the wake pipe, and every client connection — all
 //! non-blocking, each with its own read/write buffers and newline
-//! framing. Parsed requests go through the same
-//! [`crate::server::route_inline`] router as the legacy front end:
-//! `stats2`, `place-incremental`, `shutdown`, and every error
+//! framing. `stats2`, `place-incremental`, `shutdown`, and every error
 //! are answered inline by this thread (so metrics stay readable even
 //! with the solver pool saturated), while `solve` is dispatched into the
 //! bounded pool with a completion-queue reply sink. Workers push the
@@ -35,16 +33,17 @@
 //! # Shutdown
 //!
 //! `shutdown` (or [`crate::Server::shutdown`]) raises the stop flag and
-//! self-connects, which wakes the poll. The loop then fails any
-//! still-pending slots with `err shutting-down`, best-effort flushes
-//! every buffer (the `ok draining=1` reply in particular), and closes.
-
-#![cfg(unix)]
+//! rings the wake pipe, which wakes the poll. The loop then fails any
+//! still-pending slots with `err shutting-down`, flushes every buffer
+//! (the `ok draining=1` reply in particular) for up to [`DRAIN_FLUSH`],
+//! and closes every connection before it returns.
 
 use crate::netpoll::{poll_ready, PollEntry, WakePipe, POLLERR, POLLIN, POLLNVAL, POLLOUT};
 use crate::pool::SolveJob;
-use crate::protocol::{ErrCode, WireError, MAX_LINE_BYTES, MAX_QUEUED_REPLIES, MAX_UNSENT_BYTES};
-use crate::server::{route_inline, Routed, Shared};
+use crate::protocol::{
+    ErrCode, Request, SolveSpec, WireError, MAX_LINE_BYTES, MAX_QUEUED_REPLIES, MAX_UNSENT_BYTES,
+};
+use crate::server::Shared;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -53,8 +52,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Poll timeout: the loop re-checks the stop flag at least this often
-/// even if no fd ever becomes ready (wakes normally arrive via the
-/// listener self-connect or the wake pipe long before this).
+/// even if no fd ever becomes ready (completions and shutdown ring the
+/// wake pipe long before this).
 const POLL_TIMEOUT_MS: i32 = 100;
 
 /// Per-read chunk size; connections needing more just loop.
@@ -64,15 +63,28 @@ const READ_CHUNK: usize = 16 * 1024;
 const DRAIN_FLUSH: Duration = Duration::from_secs(2);
 
 /// Worker→event-loop reply transport: finished lines keyed by slot
-/// token, plus the self-pipe that interrupts a sleeping poll.
-struct Completions {
+/// token, plus the self-pipe that interrupts a sleeping poll (which
+/// shutdown rings too).
+pub(crate) struct Completions {
     queue: parking_lot::Mutex<Vec<(u64, String)>>,
     wake: WakePipe,
 }
 
 impl Completions {
+    pub(crate) fn new() -> std::io::Result<Self> {
+        Ok(Self {
+            queue: parking_lot::Mutex::new(Vec::new()),
+            wake: WakePipe::new()?,
+        })
+    }
+
     fn push(&self, token: u64, line: String) {
         self.queue.lock().push((token, line));
+        self.wake.wake();
+    }
+
+    /// Wakes the loop with no reply to deliver.
+    pub(crate) fn wake(&self) {
         self.wake.wake();
     }
 
@@ -253,7 +265,6 @@ fn serve(
     conn: &mut Conn,
     readable: bool,
     shared: &Shared,
-    completions: &Arc<Completions>,
     token_conn: &mut HashMap<u64, u64>,
     next_token: &mut u64,
 ) {
@@ -265,15 +276,7 @@ fn serve(
             }
         }
         if let Some(line) = conn.next_line() {
-            handle_line(
-                conn_id,
-                &line,
-                conn,
-                shared,
-                completions,
-                token_conn,
-                next_token,
-            );
+            handle_line(conn_id, &line, conn, shared, token_conn, next_token);
             conn.pump();
             continue;
         }
@@ -303,47 +306,99 @@ fn handle_line(
     line: &str,
     conn: &mut Conn,
     shared: &Shared,
-    completions: &Arc<Completions>,
     token_conn: &mut HashMap<u64, u64>,
     next_token: &mut u64,
 ) {
     let line = line.trim();
     if line.is_empty() {
-        return; // blank lines draw no reply, as in legacy mode
+        return; // blank lines draw no reply
     }
-    // same panic fence as the legacy per-line handler: a routing bug
-    // costs this request an `err internal`, never the event loop
-    let routed =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route_inline(line, shared)))
-            .unwrap_or_else(|_| {
-                Routed::Inline(
-                    WireError::new(ErrCode::Internal, "request handler panicked").to_line(),
-                )
-            });
-    match routed {
-        Routed::Inline(reply) => conn.slots.push_back(Slot::Ready(reply)),
-        Routed::Solve(spec) => {
-            let now = Instant::now();
-            let deadline = spec.deadline_ms.map(|ms| now + Duration::from_millis(ms));
-            let token = *next_token;
-            *next_token += 1;
-            let sink = {
-                let completions = Arc::clone(completions);
-                Box::new(move |reply: String| completions.push(token, reply))
-            };
-            let job = SolveJob::new(*spec, now, deadline, sink);
-            match shared.pool.lock().submit(job) {
-                Ok(()) => {
-                    conn.slots.push_back(Slot::Pending(token));
-                    token_conn.insert(token, conn_id);
+    // panic fence: a routing bug costs this request an `err internal`,
+    // never the event loop
+    let slot = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        route(line, shared, next_token)
+    }))
+    .unwrap_or_else(|_| {
+        Slot::Ready(WireError::new(ErrCode::Internal, "request handler panicked").to_line())
+    });
+    if let Slot::Pending(token) = slot {
+        token_conn.insert(token, conn_id);
+    }
+    conn.slots.push_back(slot);
+}
+
+/// Parses one request line and answers it: everything except `solve`
+/// inline, a `solve` by submitting it to the pool.
+fn route(line: &str, shared: &Shared, next_token: &mut u64) -> Slot {
+    let metrics = &shared.metrics;
+    metrics.requests.inc();
+    let request = match Request::parse(line) {
+        Ok(r) => r,
+        Err(e) => {
+            metrics.bad_requests.inc();
+            return Slot::Ready(e.to_line());
+        }
+    };
+    Slot::Ready(match request {
+        Request::Solve(_) if shared.stopping() => {
+            WireError::new(ErrCode::ShuttingDown, "server is draining").to_line()
+        }
+        Request::Solve(spec) => return submit(*spec, shared, next_token),
+        Request::Incr(op) => match shared.sessions.apply(op) {
+            Ok(out) => {
+                metrics.incr_ops.inc();
+                metrics
+                    .sessions_open
+                    .set(shared.sessions.open_count() as u64);
+                metrics.session_mutations.add(out.mutations);
+                metrics.session_moves.add(out.moves);
+                if out.warm_solve {
+                    metrics.session_warm_solves.inc();
                 }
-                Err(e) => {
-                    if e.code == ErrCode::Overloaded {
-                        shared.metrics.overloaded.inc();
-                    }
-                    conn.slots.push_back(Slot::Ready(e.to_line()));
-                }
+                format!("ok {}", out.reply)
             }
+            Err(e) => {
+                if e.code == ErrCode::BadRequest {
+                    metrics.bad_requests.inc();
+                }
+                e.to_line()
+            }
+        },
+        Request::Stats2 => {
+            metrics
+                .sessions_open
+                .set(shared.sessions.open_count() as u64);
+            format!(
+                "ok {}",
+                metrics.stats2_line(shared.cache.hits(), shared.cache.misses())
+            )
+        }
+        Request::Shutdown => {
+            shared.trigger_shutdown();
+            "ok draining=1".to_string()
+        }
+    })
+}
+
+/// Queues a solve in the pool with a completion-queue reply sink. The
+/// slot is pending under a fresh token, or ready with the pool's refusal.
+fn submit(spec: SolveSpec, shared: &Shared, next_token: &mut u64) -> Slot {
+    let now = Instant::now();
+    let deadline = spec.deadline_ms.map(|ms| now + Duration::from_millis(ms));
+    let token = *next_token;
+    *next_token += 1;
+    let sink = {
+        let completions = Arc::clone(&shared.completions);
+        Box::new(move |reply: String| completions.push(token, reply))
+    };
+    let job = SolveJob::new(spec, now, deadline, sink);
+    match shared.pool.lock().submit(job) {
+        Ok(()) => Slot::Pending(token),
+        Err(e) => {
+            if e.code == ErrCode::Overloaded {
+                shared.metrics.overloaded.inc();
+            }
+            Slot::Ready(e.to_line())
         }
     }
 }
@@ -351,14 +406,7 @@ fn handle_line(
 /// The readiness loop: owns the listener and every connection until
 /// shutdown. Runs on the dedicated `hgp-event` thread.
 pub(crate) fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
-    if listener.set_nonblocking(true).is_err() {
-        // no way to multiplex a blocking listener — serve legacy-style
-        return crate::server::accept_loop(listener, shared);
-    }
-    let completions = Arc::new(Completions {
-        queue: parking_lot::Mutex::new(Vec::new()),
-        wake: WakePipe::new().expect("create event-loop wake pipe"),
-    });
+    let completions = &shared.completions;
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut token_conn: HashMap<u64, u64> = HashMap::new();
     let mut next_conn_id: u64 = 0;
@@ -411,7 +459,6 @@ pub(crate) fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
                         if stream.set_nonblocking(true).is_err() {
                             continue;
                         }
-                        shared.conn_opened();
                         conns.insert(next_conn_id, Conn::new(stream));
                         next_conn_id += 1;
                     }
@@ -419,6 +466,7 @@ pub(crate) fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
                     Err(_) => break,
                 }
             }
+            shared.metrics.conns_open.set(conns.len() as u64);
         }
 
         // 3. per-connection IO on the fds poll reported: flush first, so
@@ -440,7 +488,6 @@ pub(crate) fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
                 conn,
                 entry.readable(),
                 &shared,
-                &completions,
                 &mut token_conn,
                 &mut next_token,
             );
@@ -455,12 +502,12 @@ pub(crate) fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
                         token_conn.remove(t);
                     }
                 }
-                shared.conn_closed();
                 false
             } else {
                 true
             }
         });
+        shared.metrics.conns_open.set(conns.len() as u64);
     }
 
     // drain: every still-pending slot answers shutting-down (its job was
@@ -488,7 +535,6 @@ pub(crate) fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    for _ in conns.drain() {
-        shared.conn_closed();
-    }
+    conns.clear();
+    shared.metrics.conns_open.set(0);
 }

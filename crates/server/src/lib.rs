@@ -26,10 +26,12 @@
 //! * `netpoll` (private) — a vendored-style shim over POSIX
 //!   `poll(2)`/`pipe(2)` (the workspace is crates.io-free) powering the
 //!   event loop;
-//! * [`server`] — the std-only TCP front ends tying it together: an
+//! * [`server`] — the std-only TCP front end tying it together: one
 //!   event-driven readiness loop multiplexing thousands of non-blocking
-//!   connections on one thread (default on unix), with the legacy
-//!   thread-per-connection mode behind `ServerConfig::legacy_threads`.
+//!   connections on one thread.
+//!
+//! The crate is unix-only, because that loop is built on `poll(2)` and
+//! `pipe(2)`.
 //!
 //! Everything is deterministic given request seeds: two identical `solve`
 //! lines return identical costs, whether the distribution was built
@@ -37,8 +39,10 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!("hgp-server is unix-only: its event loop is built on poll(2) and pipe(2)");
+
 pub mod cache;
-#[cfg(unix)]
 mod event;
 pub mod flight;
 pub mod metrics;
@@ -51,7 +55,7 @@ pub mod session;
 pub use cache::DecompCache;
 pub use flight::{FlightError, FlightGroup, FollowerOutcome, Ticket};
 pub use metrics::Metrics;
-pub use pool::{channel_reply, ReplySink, SolveJob, SolverPool};
+pub use pool::{ReplySink, SolveJob, SolverPool};
 pub use protocol::{ErrCode, GraphSpec, IncrOp, Request, SolveSpec, WireError};
 pub use server::{Server, ServerConfig, ServerConfigBuilder};
 pub use session::SessionTable;

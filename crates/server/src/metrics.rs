@@ -68,7 +68,8 @@ pub struct Metrics {
     /// idle-waiting on the queue). Worker utilization over a window is
     /// `Δbusy-us / (workers × Δwall-us)`. Wire: `pool.busy-us`.
     pub pool_busy_us: Arc<Counter>,
-    /// Client connections currently open (either front end).
+    /// Client connections currently open, as counted by the event
+    /// loop's connection table.
     /// Wire: `conns.open`.
     pub conns_open: Arc<Gauge>,
     /// Mutations committed through the transactional session API (each

@@ -13,11 +13,8 @@
 //! registration state that could drift from the connection table, and
 //! its O(n)-per-wakeup scan is cheap at the connection counts this
 //! server targets (the loopback test `event_loop_holds_hundreds_of_connections`
-//! holds hundreds open through it). The shim is private to the crate and
-//! `cfg(unix)`; on other platforms the server falls back to the legacy
-//! thread-per-connection front end.
-
-#![cfg(unix)]
+//! holds hundreds open through it). The shim is private to the crate,
+//! which is unix-only for its sake.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -33,19 +30,10 @@ pub const POLLHUP: i16 = 0x010;
 /// Invalid fd (revents only; POSIX `POLLNVAL`).
 pub const POLLNVAL: i16 = 0x020;
 
-/// Layout-compatible `struct pollfd` (identical on every unix libc).
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct RawPollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
 extern "C" {
     // nfds_t is `unsigned long` on the 64-bit unix targets this
     // workspace builds for.
-    fn poll(fds: *mut RawPollFd, nfds: u64, timeout: i32) -> i32;
+    fn poll(fds: *mut PollEntry, nfds: u64, timeout: i32) -> i32;
     fn pipe(fds: *mut i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
@@ -62,11 +50,14 @@ const O_NONBLOCK: i32 = 0o4000;
 #[cfg(not(target_os = "linux"))]
 const O_NONBLOCK: i32 = 0x0004;
 
-/// One fd the caller wants readiness for.
+/// One fd the caller wants readiness for. Laid out as `struct pollfd`
+/// (`fd`, `events`, `revents`, identical on every unix libc), so a slice
+/// of entries goes to `poll(2)` as it is.
+#[repr(C)]
 #[derive(Clone, Copy, Debug)]
 pub struct PollEntry {
     /// The file descriptor.
-    pub fd: RawFd,
+    pub fd: i32,
     /// Requested events (`POLLIN | POLLOUT`).
     pub interest: i16,
     /// Returned events after [`poll_ready`] (includes error conditions).
@@ -97,22 +88,11 @@ impl PollEntry {
 /// is retried internally so callers never see spurious failures from
 /// signals.
 pub fn poll_ready(entries: &mut [PollEntry], timeout_ms: i32) -> io::Result<usize> {
-    let mut raw: Vec<RawPollFd> = entries
-        .iter()
-        .map(|e| RawPollFd {
-            fd: e.fd,
-            events: e.interest,
-            revents: 0,
-        })
-        .collect();
     loop {
-        // SAFETY: `raw` is a live, correctly-sized pollfd array for the
-        // duration of the call.
-        let rc = unsafe { poll(raw.as_mut_ptr(), raw.len() as u64, timeout_ms) };
+        // SAFETY: `PollEntry` has `struct pollfd`'s layout, and `entries`
+        // is a live, correctly-sized array of them for the whole call.
+        let rc = unsafe { poll(entries.as_mut_ptr(), entries.len() as u64, timeout_ms) };
         if rc >= 0 {
-            for (e, r) in entries.iter_mut().zip(raw.iter()) {
-                e.ready = r.revents;
-            }
             return Ok(rc as usize);
         }
         let err = io::Error::last_os_error();

@@ -67,23 +67,12 @@ use std::time::{Duration, Instant};
 /// How often the supervisor checks for dead workers.
 const SUPERVISE_EVERY: Duration = Duration::from_millis(20);
 
-/// Where a finished reply line goes. Both front ends speak through this:
-/// the legacy threaded front end captures an `mpsc::Sender` (see
-/// [`channel_reply`]), the event loop captures a completion-queue push
-/// plus a self-pipe wake. If the pool shuts down with
-/// the job still queued, the sink is dropped uncalled — for the channel
-/// sink that disconnects the receiver, which the connection surfaces as
-/// `shutting-down`.
+/// Where a finished reply line goes. The event loop's sink pushes it
+/// onto the loop's completion queue and wakes the poller; tests
+/// substitute a channel. If the pool shuts down with the job still
+/// queued, the sink is dropped uncalled, and the event loop answers the
+/// request `shutting-down` as it drains.
 pub type ReplySink = Box<dyn FnOnce(String) + Send>;
-
-/// A [`ReplySink`] that sends the reply into an mpsc channel (the legacy
-/// thread-per-connection front end, and most tests).
-pub fn channel_reply(tx: mpsc::Sender<String>) -> ReplySink {
-    Box::new(move |line| {
-        // receiver gone = client hung up; nothing to do
-        let _ = tx.send(line);
-    })
-}
 
 /// One queued solve.
 pub struct SolveJob {
@@ -675,6 +664,14 @@ mod tests {
         )
     }
 
+    /// A [`ReplySink`] that sends the reply into an mpsc channel.
+    fn channel_sink(tx: mpsc::Sender<String>) -> ReplySink {
+        Box::new(move |line| {
+            // receiver gone = the test stopped listening; nothing to do
+            let _ = tx.send(line);
+        })
+    }
+
     fn solve_spec(line: &str) -> SolveSpec {
         match Request::parse(line).unwrap() {
             Request::Solve(s) => *s,
@@ -689,7 +686,7 @@ mod tests {
             spec,
             now,
             deadline.map(|d| now + d),
-            channel_reply(tx),
+            channel_sink(tx),
         ))
         .unwrap();
         rx.recv_timeout(Duration::from_secs(60)).unwrap()
@@ -770,7 +767,7 @@ mod tests {
         let now = Instant::now();
         let mut rejected = 0;
         for _ in 0..16 {
-            let job = SolveJob::new(solve_spec(LINE), now, None, channel_reply(tx.clone()));
+            let job = SolveJob::new(solve_spec(LINE), now, None, channel_sink(tx.clone()));
             if let Err(e) = pool.submit(job) {
                 assert_eq!(e.code, ErrCode::Overloaded);
                 rejected += 1;
@@ -817,7 +814,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         pool.submit(SolveJob {
             crash_worker: true,
-            ..SolveJob::new(solve_spec(LINE), Instant::now(), None, channel_reply(tx))
+            ..SolveJob::new(solve_spec(LINE), Instant::now(), None, channel_sink(tx))
         })
         .unwrap();
         // the dying worker never replies; its channel just disconnects
@@ -850,7 +847,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         pool.submit(SolveJob {
             panic_solve: true,
-            ..SolveJob::new(solve_spec(LINE), Instant::now(), None, channel_reply(tx))
+            ..SolveJob::new(solve_spec(LINE), Instant::now(), None, channel_sink(tx))
         })
         .unwrap();
         let reply = rx.recv_timeout(Duration::from_secs(30)).unwrap();
@@ -888,7 +885,7 @@ mod tests {
                 solve_spec(slow),
                 now,
                 None,
-                channel_reply(tx.clone()),
+                channel_sink(tx.clone()),
             ))
             .unwrap();
         }
@@ -939,7 +936,7 @@ mod tests {
         let (ltx, lrx) = mpsc::channel();
         pool.submit(SolveJob {
             panic_in_build: true,
-            ..SolveJob::new(solve_spec(LINE), Instant::now(), None, channel_reply(ltx))
+            ..SolveJob::new(solve_spec(LINE), Instant::now(), None, channel_sink(ltx))
         })
         .unwrap();
         std::thread::sleep(Duration::from_millis(20));
@@ -949,7 +946,7 @@ mod tests {
                 solve_spec(LINE),
                 Instant::now(),
                 None,
-                channel_reply(ftx.clone()),
+                channel_sink(ftx.clone()),
             ))
             .unwrap();
         }

@@ -131,7 +131,7 @@ pub const MAX_INLINE_EDGES: usize = 1_048_576;
 /// `Instant + Duration` deadline arithmetic (itself a wire-reachable
 /// panic); anything above ten minutes is effectively "no deadline".
 pub const MAX_DEADLINE_MS: u64 = 600_000;
-/// Longest request line the event-loop front end buffers. A line still
+/// Longest request line the event loop buffers. A line still
 /// unterminated past this size draws `err bad-request`, and the
 /// connection closes once its earlier replies are sent.
 pub const MAX_LINE_BYTES: usize = 64 << 20;

@@ -1,29 +1,21 @@
-//! The TCP front ends: event-driven multiplexing (default) or legacy
-//! thread-per-connection, over one shared request router.
+//! The TCP front end: configuration, start-up and shutdown.
 //!
-//! Deliberately `std`-only (no async runtime is vendored). The default
-//! front end is the `event` readiness loop: one thread owns
+//! Deliberately `std`-only (no async runtime is vendored). One
+//! `hgp-event` thread runs a readiness loop that owns the listener and
 //! every connection through a private `poll(2)` shim, parses lines,
-//! answers `stats2`/`place-incremental`/`shutdown` inline, and
-//! dispatches `solve` into the bounded [`SolverPool`], flushing replies
-//! as workers complete. The legacy mode (`ServerConfig::legacy_threads`,
-//! `hgp serve --legacy-threads`) keeps the original thread per
-//! connection with 200 ms read timeouts; it remains wire-byte-compatible
-//! and is the only mode on non-unix targets. Both front ends route
-//! through `route_inline`, so request semantics cannot drift between
-//! them.
+//! answers `stats2`/`place-incremental`/`shutdown` inline, and dispatches
+//! `solve` into the bounded [`SolverPool`], flushing replies as workers
+//! complete.
 
 use crate::cache::DecompCache;
+use crate::event::Completions;
 use crate::metrics::Metrics;
-use crate::pool::{channel_reply, SolveJob, SolverPool};
-use crate::protocol::{ErrCode, Request, SolveSpec, WireError};
+use crate::pool::SolverPool;
 use crate::session::SessionTable;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Server construction knobs.
 ///
@@ -46,12 +38,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Maximum concurrently open incremental sessions.
     pub max_sessions: usize,
-    /// Use the legacy thread-per-connection front end instead of the
-    /// event-driven readiness loop (`hgp serve --legacy-threads`). The
-    /// wire protocol is byte-identical either way; legacy mode caps
-    /// practical concurrency at OS thread scale and is the automatic
-    /// fallback on non-unix targets.
-    pub legacy_threads: bool,
 }
 
 impl Default for ServerConfig {
@@ -63,7 +49,6 @@ impl Default for ServerConfig {
             parallelism: hgp_core::Parallelism::Auto,
             cache_capacity: 32,
             max_sessions: 256,
-            legacy_threads: false,
         }
     }
 }
@@ -134,12 +119,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Selects the legacy thread-per-connection front end.
-    pub fn legacy_threads(mut self, legacy: bool) -> Self {
-        self.config.legacy_threads = legacy;
-        self
-    }
-
     /// Finalises the configuration.
     pub fn build(self) -> ServerConfig {
         self.config
@@ -147,13 +126,12 @@ impl ServerConfigBuilder {
 }
 
 pub(crate) struct Shared {
-    pub(crate) addr: SocketAddr,
     pub(crate) pool: parking_lot::Mutex<SolverPool>,
     pub(crate) sessions: SessionTable,
     pub(crate) cache: Arc<DecompCache>,
     pub(crate) metrics: Arc<Metrics>,
+    pub(crate) completions: Arc<Completions>,
     pub(crate) stop: AtomicBool,
-    pub(crate) conns: AtomicU64,
 }
 
 impl Shared {
@@ -161,25 +139,13 @@ impl Shared {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// Bookkeeping for an accepted connection (drain counter + gauge).
-    pub(crate) fn conn_opened(&self) {
-        let now = self.conns.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.conns_open.set(now);
-    }
-
-    /// Bookkeeping for a closed connection.
-    pub(crate) fn conn_closed(&self) {
-        let now = self.conns.fetch_sub(1, Ordering::Release) - 1;
-        self.metrics.conns_open.set(now);
-    }
-
-    /// Idempotent shutdown trigger: raises the flag, wakes the front end
-    /// with a self-connect, and drains the solver pool.
+    /// Idempotent shutdown trigger: raises the flag, wakes the event loop
+    /// through its wake pipe, and drains the solver pool.
     pub(crate) fn trigger_shutdown(&self) {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        let _ = TcpStream::connect(self.addr);
+        self.completions.wake();
         self.pool.lock().shutdown();
     }
 }
@@ -188,14 +154,18 @@ impl Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
+    event_thread: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds and starts accepting. Returns once the listener is live.
+    /// Binds and starts the event loop. Returns once the listener is live;
+    /// a listener that cannot be made non-blocking, or a wake pipe that
+    /// cannot be created, is an `Err` here.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let completions = Arc::new(Completions::new()?);
         let cache = Arc::new(DecompCache::new(config.cache_capacity));
         let metrics = Arc::new(Metrics::new());
         let pool = SolverPool::new(
@@ -206,38 +176,21 @@ impl Server {
             Arc::clone(&metrics),
         );
         let shared = Arc::new(Shared {
-            addr,
             pool: parking_lot::Mutex::new(pool),
             sessions: SessionTable::new(config.max_sessions),
             cache,
             metrics,
+            completions,
             stop: AtomicBool::new(false),
-            conns: AtomicU64::new(0),
         });
-        let accept_shared = Arc::clone(&shared);
-        // non-unix targets have no netpoll shim: always fall back to the
-        // legacy threaded front end there
-        let legacy = config.legacy_threads || !cfg!(unix);
-        let accept_thread = if legacy {
-            std::thread::Builder::new()
-                .name("hgp-accept".to_string())
-                .spawn(move || accept_loop(listener, accept_shared))?
-        } else {
-            #[cfg(unix)]
-            {
-                std::thread::Builder::new()
-                    .name("hgp-event".to_string())
-                    .spawn(move || crate::event::event_loop(listener, accept_shared))?
-            }
-            #[cfg(not(unix))]
-            {
-                unreachable!("non-unix targets always take the legacy branch")
-            }
-        };
+        let loop_shared = Arc::clone(&shared);
+        let event_thread = std::thread::Builder::new()
+            .name("hgp-event".to_string())
+            .spawn(move || crate::event::event_loop(listener, loop_shared))?;
         Ok(Server {
             addr,
             shared,
-            accept_thread: Some(accept_thread),
+            event_thread: Some(event_thread),
         })
     }
 
@@ -246,26 +199,19 @@ impl Server {
         self.addr
     }
 
-    /// Requests shutdown: stops accepting, drains workers, and lets
-    /// connection threads notice on their next read timeout.
+    /// Requests shutdown: stops accepting, fails queued solves with
+    /// `err shutting-down`, and drains the workers.
     pub fn shutdown(&self) {
         self.shared.trigger_shutdown();
     }
 
-    /// Blocks until the accept loop has exited and live connections have
-    /// drained (call [`Server::shutdown`] first, or from another thread).
-    ///
-    /// The connection drain is bounded: threads notice the stop flag within
-    /// one read timeout, so waiting a few seconds is enough to let in-flight
-    /// replies — the `ok draining=1` answer to a wire `shutdown` in
-    /// particular — reach their clients before the process exits.
+    /// Blocks until the event loop has exited (call [`Server::shutdown`]
+    /// first, or from another thread). The loop flushes pending replies
+    /// — the `ok draining=1` answer to a wire `shutdown` in particular —
+    /// for a bounded time and closes every connection before it returns.
     pub fn join(&mut self) {
-        if let Some(t) = self.accept_thread.take() {
+        if let Some(t) = self.event_thread.take() {
             let _ = t.join();
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while self.shared.conns.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
         }
     }
 }
@@ -277,170 +223,12 @@ impl Drop for Server {
     }
 }
 
-pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.stopping() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_shared = Arc::clone(&shared);
-        shared.conn_opened();
-        let _ = std::thread::Builder::new()
-            .name("hgp-conn".to_string())
-            .spawn(move || {
-                // catch_unwind so the connection gauge is decremented even
-                // if the handler has a bug — a leaked count would make
-                // `join` wait out its full drain deadline forever after
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = handle_connection(stream, &conn_shared);
-                }));
-                conn_shared.conn_closed();
-            });
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    // Timeouts keep this thread responsive to shutdown even on idle
-    // connections.
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if shared.stopping() {
-            return Ok(());
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(e) => return Err(e),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        // the one-reply-per-line invariant holds even if a handler panics:
-        // the panic is converted into an `err internal` reply
-        let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_line(line.trim(), shared)
-        }))
-        .unwrap_or_else(|_| {
-            WireError::new(ErrCode::Internal, "request handler panicked").to_line()
-        });
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-    }
-}
-
-/// What [`route_inline`] decided about one request line.
-pub(crate) enum Routed {
-    /// The reply is ready — `stats2`, `place-incremental`,
-    /// `shutdown`, and every error are answered without touching the
-    /// solver pool (so metrics stay readable even when the pool is
-    /// saturated).
-    Inline(String),
-    /// A `solve`: the caller owns dispatching it into the pool (blocking
-    /// in the legacy front end, completion-queue async in the event loop).
-    Solve(Box<SolveSpec>),
-}
-
-/// The single request router both front ends share: parses the line,
-/// answers everything except `solve` inline, and hands `solve` specs
-/// back to the caller for pool dispatch. Keeping this common is what
-/// guarantees the two modes stay wire-byte-compatible.
-pub(crate) fn route_inline(line: &str, shared: &Shared) -> Routed {
-    let metrics = &shared.metrics;
-    metrics.requests.inc();
-    let request = match Request::parse(line) {
-        Ok(r) => r,
-        Err(e) => {
-            metrics.bad_requests.inc();
-            return Routed::Inline(e.to_line());
-        }
-    };
-    Routed::Inline(match request {
-        Request::Solve(spec) => {
-            if shared.stopping() {
-                return Routed::Inline(
-                    WireError::new(ErrCode::ShuttingDown, "server is draining").to_line(),
-                );
-            }
-            return Routed::Solve(spec);
-        }
-        Request::Incr(op) => match shared.sessions.apply(op) {
-            Ok(out) => {
-                metrics.incr_ops.inc();
-                metrics
-                    .sessions_open
-                    .set(shared.sessions.open_count() as u64);
-                metrics.session_mutations.add(out.mutations);
-                metrics.session_moves.add(out.moves);
-                if out.warm_solve {
-                    metrics.session_warm_solves.inc();
-                }
-                format!("ok {}", out.reply)
-            }
-            Err(e) => {
-                if e.code == ErrCode::BadRequest {
-                    metrics.bad_requests.inc();
-                }
-                e.to_line()
-            }
-        },
-        Request::Stats2 => {
-            metrics
-                .sessions_open
-                .set(shared.sessions.open_count() as u64);
-            format!(
-                "ok {}",
-                metrics.stats2_line(shared.cache.hits(), shared.cache.misses())
-            )
-        }
-        Request::Shutdown => {
-            shared.trigger_shutdown();
-            "ok draining=1".to_string()
-        }
-    })
-}
-
-/// Legacy-mode line handler: routes, then blocks the connection thread
-/// on the solve reply (one in-flight solve per connection by design).
-fn handle_line(line: &str, shared: &Shared) -> String {
-    let spec = match route_inline(line, shared) {
-        Routed::Inline(reply) => return reply,
-        Routed::Solve(spec) => spec,
-    };
-    let (tx, rx) = mpsc::channel();
-    let now = Instant::now();
-    let deadline = spec.deadline_ms.map(|ms| now + Duration::from_millis(ms));
-    let job = SolveJob::new(*spec, now, deadline, channel_reply(tx));
-    let submitted = shared.pool.lock().submit(job);
-    match submitted {
-        Ok(()) => match rx.recv() {
-            Ok(reply) => reply,
-            // worker dropped the job on the floor mid-drain
-            Err(_) => WireError::new(ErrCode::ShuttingDown, "server is draining").to_line(),
-        },
-        Err(e) => {
-            if e.code == ErrCode::Overloaded {
-                shared.metrics.overloaded.inc();
-            }
-            e.to_line()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     fn roundtrip(stream: &mut TcpStream, line: &str) -> String {
         stream.write_all(line.as_bytes()).unwrap();

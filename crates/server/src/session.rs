@@ -16,8 +16,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What applying one wire operation did — the reply body plus the facts
-/// the metrics layer records (kept out of the reply path so both front
-/// ends update counters identically through one integration point).
+/// the metrics layer records (kept out of the reply body, so the event
+/// loop updates the counters in one place).
 #[derive(Debug)]
 pub struct ApplyOutcome {
     /// The `ok …` reply body.

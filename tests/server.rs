@@ -562,65 +562,110 @@ fn an_over_long_line_is_refused_and_closes_the_connection() {
     server.shutdown();
 }
 
+/// One closed-loop conversation pinned reply by reply: solves (cold,
+/// cached, degraded), a session's whole life, and the errors, including
+/// the removed surface (v1 `stats` and the single-mutation verbs).
+/// Replies are deterministic given the request sequence, modulo the
+/// wall-clock `elapsed-us=` token, which is stripped.
 #[test]
-fn legacy_and_event_front_ends_are_wire_compatible() {
-    let script = [
-        "solve graph=gen:clustered:2x4:900 machine=2x2:4,1,0 demand=0.3 trees=4 seed=42",
-        "solve graph=gen:clustered:2x4:900 machine=2x2:4,1,0 demand=0.3 trees=4 seed=42",
-        "solve graph=gen:clustered:2x4:900 machine=2x2:4,1,0 demand=0.31 trees=4 seed=42",
-        "place-incremental new machine=2x2:4,1,0",
-        "place-incremental mutate session=1 add=0.25",
-        "place-incremental mutate session=1 demand=0:0.4",
-        "place-incremental resolve session=1 budget=4",
-        "place-incremental mutate session=1 add=0.2:0:1.5 demand=0:0.3",
-        "place-incremental resolve session=1 budget=2",
-        "place-incremental mutate session=1 drain=0",
-        "place-incremental resolve session=1 cold=1 ratio=1.5",
-        "place-incremental mutate session=1 remove=99",
-        "place-incremental end session=1",
-        "solve graph=gen:clustered:2x4:901 machine=2x2:4,1,0 demand=0.3 trees=4 seed=42 deadline-ms=0",
-        "solve graph=bad",
-        "nonsense",
-        // removed surface: v1 stats and the single-mutation verbs
-        "stats",
-        "place-incremental add session=1 demand=0.25",
-        "place-incremental remove session=1 task=0",
-        "place-incremental resize session=1 task=0 demand=0.4",
-        "place-incremental rebalance session=1 max-moves=4",
+fn wire_replies_match_the_golden_transcript() {
+    let transcript = [
+        (
+            "solve graph=gen:clustered:2x4:900 machine=2x2:4,1,0 demand=0.3 trees=4 seed=42",
+            "ok cost=0.3 degraded=0 mode=full tree=0 trees-solved=4 cache=miss worst-factor=1.2",
+        ),
+        (
+            "solve graph=gen:clustered:2x4:900 machine=2x2:4,1,0 demand=0.3 trees=4 seed=42",
+            "ok cost=0.3 degraded=0 mode=full tree=0 trees-solved=4 cache=hit worst-factor=1.2",
+        ),
+        (
+            "solve graph=gen:clustered:2x4:900 machine=2x2:4,1,0 demand=0.31 trees=4 seed=42",
+            "ok cost=0.3 degraded=0 mode=full tree=0 trees-solved=4 cache=miss worst-factor=1.24",
+        ),
+        (
+            "place-incremental new machine=2x2:4,1,0",
+            "ok session=1 leaves=4",
+        ),
+        (
+            "place-incremental mutate session=1 add=0.25",
+            "ok applied=1 added=0 moves=1 cost=0 max-load=0.25 leaves=4",
+        ),
+        (
+            "place-incremental mutate session=1 demand=0:0.4",
+            "ok applied=1 added=- moves=0 cost=0 max-load=0.4 leaves=4",
+        ),
+        (
+            "place-incremental resolve session=1 budget=4",
+            "ok cost=0 moves=0 churn=1 warm=0 max-load=0.4 active=1",
+        ),
+        (
+            "place-incremental mutate session=1 add=0.2:0:1.5 demand=0:0.3",
+            "ok applied=2 added=1 moves=1 cost=0 max-load=0.5 leaves=4",
+        ),
+        (
+            "place-incremental resolve session=1 budget=2",
+            "ok cost=0 moves=0 churn=2 warm=0 max-load=0.5 active=2",
+        ),
+        (
+            "place-incremental mutate session=1 drain=0",
+            "ok applied=1 added=- moves=2 cost=0 max-load=0.5 leaves=4",
+        ),
+        (
+            "place-incremental resolve session=1 cold=1 ratio=1.5",
+            "ok cost=0 moves=0 churn=4 warm=0 max-load=0.5 active=2",
+        ),
+        (
+            "place-incremental mutate session=1 remove=99",
+            "err not-found mutation 0: task 99 is not live",
+        ),
+        (
+            "place-incremental end session=1",
+            "ok session=1 active=2 churn=4",
+        ),
+        (
+            "solve graph=gen:clustered:2x4:901 machine=2x2:4,1,0 demand=0.3 trees=4 seed=42 deadline-ms=0",
+            "ok cost=14.4 degraded=1 mode=baseline trees-solved=0 cache=skip worst-factor=1",
+        ),
+        (
+            "solve graph=bad",
+            "err bad-request unknown graph spec kind \"bad\" (want edges:… or gen:…)",
+        ),
+        (
+            "nonsense",
+            "err bad-request unknown command \"nonsense\" (want solve | place-incremental | stats2 | shutdown)",
+        ),
+        (
+            "stats",
+            "err bad-request unknown command \"stats\" (want solve | place-incremental | stats2 | shutdown)",
+        ),
+        (
+            "place-incremental add session=1 demand=0.25",
+            "err bad-request unknown place-incremental op \"add\"",
+        ),
+        (
+            "place-incremental remove session=1 task=0",
+            "err bad-request unknown place-incremental op \"remove\"",
+        ),
+        (
+            "place-incremental resize session=1 task=0 demand=0.4",
+            "err bad-request unknown place-incremental op \"resize\"",
+        ),
+        (
+            "place-incremental rebalance session=1 max-moves=4",
+            "err bad-request unknown place-incremental op \"rebalance\"",
+        ),
     ];
-    let run_against = |legacy: bool| -> Vec<String> {
-        let server = Server::start(
-            ServerConfig::builder()
-                .workers(2)
-                .legacy_threads(legacy)
-                .build(),
-        )
-        .expect("start server");
-        let mut client = Client::connect(server.addr());
-        let replies = script.iter().map(|line| client.req(line)).collect();
-        server.shutdown();
-        replies
-    };
-    // replies are deterministic given the request sequence — modulo the
-    // wall-clock elapsed-us token — so the two front ends must agree
-    // byte for byte on everything else
-    let strip_timing = |replies: Vec<String>| -> Vec<String> {
-        replies
-            .into_iter()
-            .map(|r| {
-                r.split_whitespace()
-                    .filter(|kv| !kv.starts_with("elapsed-us="))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .collect()
-    };
-    let event = strip_timing(run_against(false));
-    let legacy = strip_timing(run_against(true));
-    assert_eq!(event, legacy);
-    for (line, reply) in script.iter().zip(&event).skip(script.len() - 5) {
-        assert!(reply.starts_with("err bad-request"), "{line} -> {reply}");
+    let server = Server::start(ServerConfig::builder().workers(2).build()).expect("start server");
+    let mut client = Client::connect(server.addr());
+    for (i, (line, want)) in transcript.iter().enumerate() {
+        let reply = client.req(line);
+        let reply: Vec<&str> = reply
+            .split_whitespace()
+            .filter(|kv| !kv.starts_with("elapsed-us="))
+            .collect();
+        assert_eq!(reply.join(" "), *want, "line {}: {line}", i + 1);
     }
+    server.shutdown();
 }
 
 #[test]
@@ -640,7 +685,19 @@ fn event_loop_holds_hundreds_of_connections() {
         let reply = client.req(line);
         assert!(reply.starts_with("ok cost="), "{reply}");
     }
+
+    // and falls back as they close: the loop reaps each hung-up client
+    let mut survivor = clients.swap_remove(0);
     drop(clients);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats2 = survivor.req("stats2");
+        if field_u64(&stats2, "conns.open") == 1 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "gauge never fell: {stats2}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
     server.shutdown();
 }
 
