@@ -11,6 +11,11 @@
 //! pass finds none (or after `max_passes`). Capacity is respected up to a
 //! caller-chosen factor so the refiner can polish bicriteria solutions
 //! without repairing their violations away.
+//!
+//! The swap scan is quadratic in the task count, so its marginals are
+//! memoised (`SwapMemo`): a pair of tasks that share no edge costs one
+//! fresh marginal instead of four, and every value used is bit-identical
+//! to the one the plain scan would compute.
 
 #![allow(clippy::needless_range_loop)] // parallel-array indexing is clearer here
 use hgp_core::{Assignment, Instance};
@@ -40,6 +45,22 @@ impl Default for RefineOpts {
     }
 }
 
+/// Most tasks for which [`RefineOpts::for_tasks`] turns pair swaps on.
+/// The swap scan is quadratic in the task count: seconds per pass at
+/// 8 100 tasks, minutes at 65 536.
+pub const SWAP_MAX_TASKS: usize = 4_096;
+
+impl RefineOpts {
+    /// The default settings for an `n`-task instance: pair swaps only up
+    /// to [`SWAP_MAX_TASKS`] tasks, single-task moves at any size.
+    pub fn for_tasks(n: usize) -> Self {
+        Self {
+            swaps: n <= SWAP_MAX_TASKS,
+            ..Self::default()
+        }
+    }
+}
+
 /// Marginal Equation-1 cost of `task` if placed on `leaf`, against the
 /// current placement of its neighbours (the `skip` task is ignored, for
 /// swap evaluation).
@@ -61,6 +82,98 @@ fn marginal(
     c
 }
 
+/// Memoised marginals for one swap scan, in O(n + k) memory.
+///
+/// For tasks `a`, `b` that share no edge, `marginal(a, l, skip = b)` adds
+/// exactly the terms of `marginal(a, l, skip = none)` in the same order,
+/// so a remembered unskipped value is bit-identical to what the scan
+/// would compute afresh. Two memos serve a pair (a, b):
+///
+/// * `cur[x] = marginal(x, leaf_of[x])` per task, stale once `x` or a
+///   neighbour of `x` moves (the terms read the leaves of `x`'s
+///   neighbours and, through the target, `x`'s own);
+/// * `row[l] = marginal(a, l)` over leaves for the scan's outer task `a`,
+///   stale once a neighbour of `a` moves; a new outer task starts a new
+///   row.
+///
+/// Adjacent pairs skip their shared edge and are scored directly.
+struct SwapMemo {
+    cur: Vec<f64>,
+    cur_fresh: Vec<bool>,
+    row: Vec<f64>,
+    /// `row[l]` is current iff `row_tag[l] == tag`.
+    row_tag: Vec<u64>,
+    tag: u64,
+    /// `nbr_of[u] == a` iff `u` is a neighbour of the outer task `a`.
+    nbr_of: Vec<usize>,
+}
+
+impl SwapMemo {
+    fn new(n: usize, k: usize) -> Self {
+        Self {
+            cur: vec![0.0; n],
+            cur_fresh: vec![false; n],
+            row: vec![0.0; k],
+            row_tag: vec![0; k],
+            tag: 0,
+            nbr_of: vec![usize::MAX; n],
+        }
+    }
+
+    /// Forgets every `cur` value (the single-move phase moved tasks).
+    fn reset(&mut self) {
+        self.cur_fresh.iter_mut().for_each(|f| *f = false);
+    }
+
+    /// Starts the row of outer task `a`.
+    fn begin(&mut self, inst: &Instance, a: usize) {
+        self.tag += 1;
+        for (u, _, _) in inst.graph().neighbors(NodeId(a as u32)) {
+            self.nbr_of[u.index()] = a;
+        }
+    }
+
+    fn adjacent(&self, a: usize, b: usize) -> bool {
+        self.nbr_of[b] == a
+    }
+
+    /// `marginal(x, leaf_of[x])`.
+    fn cur(&mut self, inst: &Instance, h: &Hierarchy, leaf_of: &[u32], x: usize) -> f64 {
+        if !self.cur_fresh[x] {
+            self.cur[x] = marginal(inst, h, leaf_of, x, leaf_of[x] as usize, usize::MAX);
+            self.cur_fresh[x] = true;
+        }
+        self.cur[x]
+    }
+
+    /// `marginal(a, leaf)` for the outer task `a`.
+    fn row(
+        &mut self,
+        inst: &Instance,
+        h: &Hierarchy,
+        leaf_of: &[u32],
+        a: usize,
+        leaf: usize,
+    ) -> f64 {
+        if self.row_tag[leaf] != self.tag {
+            self.row[leaf] = marginal(inst, h, leaf_of, a, leaf, usize::MAX);
+            self.row_tag[leaf] = self.tag;
+        }
+        self.row[leaf]
+    }
+
+    /// Task `x` changed leaf while `a` is the outer task.
+    fn moved(&mut self, inst: &Instance, a: usize, x: usize) {
+        self.cur_fresh[x] = false;
+        for (u, _, _) in inst.graph().neighbors(NodeId(x as u32)) {
+            self.cur_fresh[u.index()] = false;
+            if u.index() == a {
+                self.tag += 1;
+            }
+        }
+    }
+}
+
 /// Refines `assignment` in place; returns the total cost improvement.
 pub fn refine(
     assignment: &mut Assignment,
@@ -77,6 +190,7 @@ pub fn refine(
     }
     let cap = opts.capacity_factor;
     let mut total_gain = 0.0;
+    let mut memo = opts.swaps.then(|| SwapMemo::new(n, k));
 
     for _ in 0..opts.max_passes {
         let mut improved = false;
@@ -106,8 +220,10 @@ pub fn refine(
             }
         }
         // pairwise swaps
-        if opts.swaps {
+        if let Some(memo) = memo.as_mut() {
+            memo.reset();
             for a in 0..n {
+                memo.begin(inst, a);
                 for b in (a + 1)..n {
                     let (la, lb) = (leaf_of[a] as usize, leaf_of[b] as usize);
                     if la == lb {
@@ -117,16 +233,28 @@ pub fn refine(
                     if load[la] - da + db > cap + 1e-9 || load[lb] - db + da > cap + 1e-9 {
                         continue;
                     }
-                    // the (a,b) edge multiplier is unchanged by a swap, so
-                    // skipping both directions keeps the delta exact
-                    let old = marginal(inst, h, &leaf_of, a, la, b)
-                        + marginal(inst, h, &leaf_of, b, lb, a);
-                    let new = marginal(inst, h, &leaf_of, a, lb, b)
-                        + marginal(inst, h, &leaf_of, b, la, a);
+                    let (old, new) = if memo.adjacent(a, b) {
+                        // the (a,b) edge multiplier is unchanged by a swap,
+                        // so skipping both directions keeps the delta exact
+                        (
+                            marginal(inst, h, &leaf_of, a, la, b)
+                                + marginal(inst, h, &leaf_of, b, lb, a),
+                            marginal(inst, h, &leaf_of, a, lb, b)
+                                + marginal(inst, h, &leaf_of, b, la, a),
+                        )
+                    } else {
+                        (
+                            memo.cur(inst, h, &leaf_of, a) + memo.cur(inst, h, &leaf_of, b),
+                            memo.row(inst, h, &leaf_of, a, lb)
+                                + marginal(inst, h, &leaf_of, b, la, usize::MAX),
+                        )
+                    };
                     if new < old - 1e-12 {
                         load[la] += db - da;
                         load[lb] += da - db;
                         leaf_of.swap(a, b);
+                        memo.moved(inst, a, a);
+                        memo.moved(inst, a, b);
                         total_gain += old - new;
                         improved = true;
                     }

@@ -34,6 +34,7 @@ options for `partition`:
                    (0 = one per core, the default; 1 = serial;
                    the result never depends on it)
   --refine         polish the result with hierarchy-aware local search
+                   (single-task moves, plus pair swaps up to 4096 tasks)
   --multilevel     coarsen large graphs through the hgp-multilevel V-cycle
                    (exact solve on the coarsest graph, hierarchy-aware FM
                    refinement on the way back up)
@@ -302,7 +303,7 @@ pub fn run(cli: &Cli, out: &mut impl Write) -> Result<(), String> {
                     &h,
                     &RefineOpts {
                         capacity_factor: cap,
-                        ..Default::default()
+                        ..RefineOpts::for_tasks(n)
                     },
                 );
             }

@@ -596,7 +596,7 @@ impl Session {
                 Mutation::DrainLeaf { leaf } => self.drain_leaf(*leaf),
                 Mutation::AddLeaves { groups } => self.add_leaves(*groups),
                 Mutation::SetMultiplier { level, multiplier } => {
-                    self.set_multiplier(*level, *multiplier)
+                    self.h.set_cost_multiplier(*level, *multiplier)
                 }
             }
         }
@@ -816,27 +816,12 @@ impl Session {
     }
 
     fn add_leaves(&mut self, groups: usize) {
-        let mut degrees: Vec<usize> = (0..self.h.height()).map(|j| self.h.degree(j)).collect();
-        let cm: Vec<f64> = (0..=self.h.height())
-            .map(|j| self.h.cost_multiplier(j))
-            .collect();
-        degrees[0] += groups;
-        let h = Hierarchy::new(degrees, cm);
-        let k = h.num_leaves();
         // leaf indices are stable under root-degree growth (CP(1..) is
         // untouched), so the current placement carries over verbatim
+        self.h.grow_root(groups);
+        let k = self.h.num_leaves();
         self.loads.resize(k, 0.0);
         self.drained.resize(k, false);
-        self.h = h;
-    }
-
-    fn set_multiplier(&mut self, level: usize, multiplier: f64) {
-        let degrees: Vec<usize> = (0..self.h.height()).map(|j| self.h.degree(j)).collect();
-        let mut cm: Vec<f64> = (0..=self.h.height())
-            .map(|j| self.h.cost_multiplier(j))
-            .collect();
-        cm[level] = multiplier;
-        self.h = Hierarchy::new(degrees, cm);
     }
 
     /// The live tasks as a dense instance, or `None` when the session is

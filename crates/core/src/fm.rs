@@ -62,7 +62,10 @@ pub fn marginal(g: &Graph, h: &Hierarchy, leaf_of: &[u32], v: usize, leaf: usize
 /// within `cap`. Returns `(gain, target)`; `target == u32::MAX` means no
 /// feasible boundary move exists at all. A leaf whose load is already
 /// non-finite (the caller's way of fencing off drained leaves) never
-/// passes the capacity check, so no move lands there.
+/// passes the capacity check, so no move lands there. `cands` is the
+/// pass's reusable list of candidate leaves, cleared here, so scoring a
+/// move allocates nothing.
+#[allow(clippy::too_many_arguments)]
 fn best_move(
     g: &Graph,
     node_w: &[f64],
@@ -71,6 +74,7 @@ fn best_move(
     loads: &[f64],
     cap: f64,
     v: usize,
+    cands: &mut Vec<u32>,
 ) -> (f64, u32) {
     let from = leaf_of[v] as usize;
     let w_v = node_w[v];
@@ -78,14 +82,14 @@ fn best_move(
     let mut best = (f64::NEG_INFINITY, u32::MAX);
     // candidate targets: leaves hosting at least one neighbour (boundary
     // moves — a leaf with no neighbours can only raise every edge's LCA)
-    let mut cands: Vec<u32> = Vec::with_capacity(8);
+    cands.clear();
     for (u, _, _) in g.neighbors(NodeId(v as u32)) {
         let t = leaf_of[u.index()];
         if t as usize != from && !cands.contains(&t) {
             cands.push(t);
         }
     }
-    for &t in &cands {
+    for &t in cands.iter() {
         if loads[t as usize] + w_v > cap + 1e-9 {
             continue;
         }
@@ -144,8 +148,9 @@ pub fn hier_fm_pass_bounded(
         };
     }
     let mut heap = std::collections::BinaryHeap::new();
+    let mut cands: Vec<u32> = Vec::with_capacity(8);
     for v in 0..n {
-        let (gain, target) = best_move(g, node_w, h, leaf_of, loads, cap, v);
+        let (gain, target) = best_move(g, node_w, h, leaf_of, loads, cap, v, &mut cands);
         if target != u32::MAX {
             heap.push(Cand(gain, v as u32));
         }
@@ -168,7 +173,7 @@ pub fn hier_fm_pass_bounded(
         }
         // loads and neighbour placements may have shifted since this entry
         // was pushed: re-score, and re-queue instead of applying stale gains
-        let (gain, target) = best_move(g, node_w, h, leaf_of, loads, cap, v);
+        let (gain, target) = best_move(g, node_w, h, leaf_of, loads, cap, v, &mut cands);
         if target == u32::MAX {
             continue;
         }
@@ -191,7 +196,7 @@ pub fn hier_fm_pass_bounded(
         }
         for (u, _, _) in g.neighbors(NodeId(vi)) {
             if !moved[u.index()] {
-                let (g2, t2) = best_move(g, node_w, h, leaf_of, loads, cap, u.index());
+                let (g2, t2) = best_move(g, node_w, h, leaf_of, loads, cap, u.index(), &mut cands);
                 if t2 != u32::MAX {
                     heap.push(Cand(g2, u.0));
                 }

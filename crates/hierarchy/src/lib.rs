@@ -9,8 +9,13 @@
 //! level `j` costs `cm(j) · w(e)` (Equation 1 of the paper).
 //!
 //! Because `H` is regular, leaves are identified by dense indices
-//! `0..k` and ancestors/LCAs are pure arithmetic — no tree structure is
-//! materialised.
+//! `0..k` and ancestors are pure arithmetic. The one per-leaf table is
+//! the LCA code: each leaf's child digit at every level, packed into a
+//! `u64` with level 0 most significant, so that the LCA level of two
+//! leaves is the field of the highest bit in which their codes differ —
+//! one XOR, one leading-zero count and one lookup per edge instead of a
+//! division per level (see [`Hierarchy::lca_level`]). It costs 8 bytes per
+//! leaf, shared between clones; no other tree structure is materialised.
 
 #![warn(missing_docs)]
 
@@ -19,6 +24,8 @@ pub mod presets;
 
 pub use parse::{parse_hierarchy, ParseErrorKind, ParseHierarchyError};
 
+use std::sync::Arc;
+
 /// A regular hierarchy tree with cost multipliers.
 ///
 /// Invariants (checked at construction):
@@ -26,12 +33,42 @@ pub use parse::{parse_hierarchy, ParseErrorKind, ParseHierarchyError};
 ///   `degrees[j]` children);
 /// * `cost_multipliers.len() == h + 1`, entries finite, non-negative and
 ///   non-increasing.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Equality compares the shape and the multipliers; the derived tables
+/// (capacities, LCA codes) follow from them. Clones share the LCA codes,
+/// so a clone costs O(h), not O(k).
+#[derive(Clone)]
 pub struct Hierarchy {
     degrees: Vec<usize>,
     cm: Vec<f64>,
     /// cp[j] = number of leaves under a Level-j node; cp[h] = 1.
     cp: Vec<usize>,
+    /// code[leaf] = the leaf's child digit at each level `j`, in a field
+    /// `ceil(log2 DEG(j))` bits wide, level 0 most significant.
+    code: Arc<[u64]>,
+    /// level_of_len[b] = the level whose field holds bit `b - 1` of a
+    /// code, so that it maps the bit length of `code[a] ^ code[b]` to the
+    /// LCA level; level_of_len[0] = h (equal codes, equal leaves). Boxed
+    /// to keep `Hierarchy` small where it is embedded by value.
+    level_of_len: Box<[usize; 65]>,
+}
+
+impl PartialEq for Hierarchy {
+    fn eq(&self, other: &Self) -> bool {
+        self.degrees == other.degrees && self.cm == other.cm
+    }
+}
+
+impl std::fmt::Debug for Hierarchy {
+    /// The shape, multipliers and capacities; the `k` LCA codes are left
+    /// out.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Hierarchy")
+            .field("degrees", &self.degrees)
+            .field("cm", &self.cm)
+            .field("cp", &self.cp)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Hierarchy {
@@ -40,38 +77,86 @@ impl Hierarchy {
     /// `0..=h`).
     ///
     /// # Panics
-    /// Panics if the invariants described on [`Hierarchy`] are violated.
+    /// Panics if the invariants described on [`Hierarchy`] are violated,
+    /// or if the tree has more than 2³² leaves (leaves are `u32` indices
+    /// in every placement).
     pub fn new(degrees: Vec<usize>, cost_multipliers: Vec<f64>) -> Self {
-        let h = degrees.len();
-        assert!(h >= 1, "hierarchy height must be at least 1");
+        assert!(!degrees.is_empty(), "hierarchy height must be at least 1");
         assert!(
             degrees.iter().all(|&d| d >= 1),
             "every level degree must be at least 1"
         );
-        assert_eq!(
-            cost_multipliers.len(),
-            h + 1,
-            "need one cost multiplier per level 0..=h"
-        );
-        assert!(
-            cost_multipliers.iter().all(|c| c.is_finite() && *c >= 0.0),
-            "cost multipliers must be finite and non-negative"
-        );
-        assert!(
-            cost_multipliers.windows(2).all(|w| w[0] >= w[1]),
-            "cost multipliers must be non-increasing with level"
-        );
-        let mut cp = vec![1usize; h + 1];
-        for j in (0..h).rev() {
-            cp[j] = cp[j + 1]
-                .checked_mul(degrees[j])
-                .expect("leaf count overflows usize");
+        check_multipliers(&cost_multipliers, degrees.len());
+        let (cp, shift, level_of_len) = layout(&degrees);
+        // leaf order is mixed radix with level 0 most significant, so
+        // expanding the codes of one level into their children's, in
+        // place and back to front, lists the codes in leaf order; the
+        // slice is allocated once and written O(k) times per level at most
+        let mut code: Arc<[u64]> = (0..cp[0]).map(|_| 0).collect();
+        let slots = Arc::get_mut(&mut code).expect("a fresh slice is unshared");
+        let mut len = 1;
+        for (j, &d) in degrees.iter().enumerate() {
+            for i in (0..len).rev() {
+                let parent = slots[i];
+                for (digit, slot) in slots[i * d..(i + 1) * d].iter_mut().enumerate() {
+                    *slot = parent | (digit as u64) << shift[j];
+                }
+            }
+            len *= d;
         }
         Self {
             degrees,
             cm: cost_multipliers,
             cp,
+            code,
+            level_of_len,
         }
+    }
+
+    /// Adds `groups` children to the root. Every existing leaf keeps its
+    /// index and its LCA code (level 0 owns the most significant field),
+    /// so a placement carries over verbatim. The codes keep spare room
+    /// and are extended in place while unshared, so a run of growths
+    /// costs amortised `O(groups · CP(1))` each, not `O(k)`.
+    ///
+    /// # Panics
+    /// Panics if the grown tree would have more than 2³² leaves.
+    pub fn grow_root(&mut self, groups: usize) {
+        let mut degrees = self.degrees.clone();
+        degrees[0] = degrees[0]
+            .checked_add(groups)
+            .expect("root degree overflows usize");
+        let (cp, shift, level_of_len) = layout(&degrees);
+        let (old_k, new_k, cp1) = (self.cp[0], cp[0], cp[1]);
+        if Arc::get_mut(&mut self.code).is_none_or(|c| c.len() < new_k) {
+            let mut grown: Arc<[u64]> = (0..new_k.max(2 * old_k)).map(|_| 0).collect();
+            Arc::get_mut(&mut grown).expect("a fresh slice is unshared")[..old_k]
+                .copy_from_slice(&self.code[..old_k]);
+            self.code = grown;
+        }
+        let code = Arc::get_mut(&mut self.code).expect("unshared after the copy");
+        // a new root child's leaves repeat the first child's codes under
+        // their own root digit
+        for root_digit in self.degrees[0]..degrees[0] {
+            for i in 0..cp1 {
+                code[root_digit * cp1 + i] = (root_digit as u64) << shift[0] | code[i];
+            }
+        }
+        self.degrees = degrees;
+        self.cp = cp;
+        self.level_of_len = level_of_len;
+    }
+
+    /// Sets `cm(level)`, keeping the shape and the LCA codes: `O(h)`.
+    ///
+    /// # Panics
+    /// Panics if the multipliers would break the invariants described on
+    /// [`Hierarchy`].
+    pub fn set_cost_multiplier(&mut self, level: usize, multiplier: f64) {
+        let mut cm = self.cm.clone();
+        cm[level] = multiplier;
+        check_multipliers(&cm, self.height());
+        self.cm = cm;
     }
 
     /// Height `h` of the tree (leaves are at level `h`).
@@ -121,16 +206,14 @@ impl Hierarchy {
     }
 
     /// Level of the lowest common ancestor of two leaves (two equal leaves
-    /// have LCA level `h`).
+    /// have LCA level `h`): the deepest level at which their ancestors
+    /// coincide, i.e. the first level, from the root down, whose child
+    /// digits differ. Codes keep level 0 in the most significant field, so
+    /// that level owns the highest bit of `code[a] ^ code[b]`.
+    #[inline]
     pub fn lca_level(&self, a: usize, b: usize) -> usize {
-        debug_assert!(a < self.num_leaves() && b < self.num_leaves());
-        // Highest (deepest) level at which the ancestors still coincide.
-        // Walk from the leaves upward; O(h) with h tiny in practice.
-        let mut level = self.height();
-        while level > 0 && a / self.cp[level] != b / self.cp[level] {
-            level -= 1;
-        }
-        level
+        let x = self.code[a] ^ self.code[b];
+        self.level_of_len[(u64::BITS - x.leading_zeros()) as usize]
     }
 
     /// The communication cost multiplier applied to an edge whose endpoints
@@ -155,14 +238,7 @@ impl Hierarchy {
     pub fn normalized(&self) -> (Hierarchy, f64) {
         let shift = self.cm[self.height()];
         let cm = self.cm.iter().map(|c| c - shift).collect();
-        (
-            Hierarchy {
-                degrees: self.degrees.clone(),
-                cm,
-                cp: self.cp.clone(),
-            },
-            shift,
-        )
+        (Hierarchy { cm, ..self.clone() }, shift)
     }
 
     /// The per-level cost *deltas* `(cm(j-1) - cm(j)) / 2` for `j ∈ 1..=h`,
@@ -173,6 +249,61 @@ impl Hierarchy {
             .map(|j| (self.cm[j - 1] - self.cm[j]) / 2.0)
             .collect()
     }
+}
+
+/// Asserts one multiplier per level `0..=h`, each finite and
+/// non-negative, non-increasing with level.
+fn check_multipliers(cm: &[f64], h: usize) {
+    assert_eq!(cm.len(), h + 1, "need one cost multiplier per level 0..=h");
+    assert!(
+        cm.iter().all(|c| c.is_finite() && *c >= 0.0),
+        "cost multipliers must be finite and non-negative"
+    );
+    assert!(
+        cm.windows(2).all(|w| w[0] >= w[1]),
+        "cost multipliers must be non-increasing with level"
+    );
+}
+
+/// The shape's capacities `CP(0..=h)`, the bit offset of each level's
+/// code field, and the table from the bit length of `code[a] ^ code[b]`
+/// to the LCA level.
+///
+/// # Panics
+/// Panics on more than 2³² leaves (leaves are `u32` indices in every
+/// placement).
+fn layout(degrees: &[usize]) -> (Vec<usize>, Vec<u32>, Box<[usize; 65]>) {
+    let h = degrees.len();
+    let mut cp = vec![1usize; h + 1];
+    for j in (0..h).rev() {
+        cp[j] = cp[j + 1]
+            .checked_mul(degrees[j])
+            .expect("leaf count overflows usize");
+    }
+    assert!(
+        cp[0] as u64 <= 1 << 32,
+        "more than 2^32 leaves: leaves are u32 indices"
+    );
+    // field j is ceil(log2 DEG(j)) bits wide (0 for a degree-1 level);
+    // each such field takes at most twice the bits of log2 DEG(j), so
+    // k <= 2^32 keeps the whole code within 64 bits
+    let width: Vec<u32> = degrees
+        .iter()
+        .map(|&d| usize::BITS - (d - 1).leading_zeros())
+        .collect();
+    assert!(width.iter().sum::<u32>() <= 64, "LCA code exceeds 64 bits");
+    let mut shift = vec![0u32; h];
+    for j in (0..h - 1).rev() {
+        shift[j] = shift[j + 1] + width[j + 1];
+    }
+    let mut level_of_len = Box::new([0usize; 65]);
+    level_of_len[0] = h;
+    for j in 0..h {
+        for bit in shift[j]..shift[j] + width[j] {
+            level_of_len[bit as usize + 1] = j;
+        }
+    }
+    (cp, shift, level_of_len)
 }
 
 #[cfg(test)]
@@ -264,6 +395,172 @@ mod tests {
     #[should_panic(expected = "one cost multiplier per level")]
     fn rejects_wrong_multiplier_count() {
         Hierarchy::new(vec![2, 2], vec![1.0, 0.0]);
+    }
+
+    /// The definition `lca_level` answers by table: the deepest level at
+    /// which the two leaves' ancestors coincide, found by division.
+    fn lca_by_division(h: &Hierarchy, a: usize, b: usize) -> usize {
+        (0..=h.height())
+            .rev()
+            .find(|&l| a / h.capacity(l) == b / h.capacity(l))
+            .unwrap()
+    }
+
+    /// Checks one pair against the division definition, and that
+    /// `edge_multiplier` and `ancestor_at_level` agree with it.
+    fn check_pair(h: &Hierarchy, a: usize, b: usize) {
+        let l = lca_by_division(h, a, b);
+        assert_eq!(h.lca_level(a, b), l, "{h:?}: lca({a}, {b})");
+        assert_eq!(
+            h.edge_multiplier(a, b).to_bits(),
+            h.cost_multiplier(l).to_bits()
+        );
+        for j in 0..=h.height() {
+            let same = h.ancestor_at_level(a, j) == h.ancestor_at_level(b, j);
+            assert_eq!(same, j <= l, "{h:?}: ancestors of {a}, {b} at {j}");
+        }
+    }
+
+    #[test]
+    fn lca_level_matches_division_on_every_pair() {
+        let shapes: [&[usize]; 14] = [
+            &[1],
+            &[5],
+            &[2, 3],
+            &[3, 5],
+            &[1, 4],
+            &[4, 1],
+            &[2, 1, 3],
+            &[2, 3, 4],
+            &[1, 1, 2],
+            &[3, 1, 1, 2],
+            &[2, 2, 3, 2],
+            &[7, 1, 5],
+            &[5, 3, 1],
+            &[2, 2, 2, 2],
+        ];
+        for degrees in shapes {
+            let cm: Vec<f64> = (0..=degrees.len()).rev().map(|j| j as f64).collect();
+            let h = Hierarchy::new(degrees.to_vec(), cm);
+            let k = h.num_leaves();
+            for a in 0..k {
+                for b in 0..k {
+                    check_pair(&h, a, b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lca_level_matches_division_at_the_leaf_cap() {
+        // splitmix64: a seeded stream without a dependency
+        let mut state = 0x1CA_2014u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as usize
+        };
+        for desc in [
+            "65536",
+            "256x256",
+            "16x16x16x16",
+            "4x4x4096",
+            "2x1x32768",
+            "3x5x7x624",
+        ] {
+            let h = parse_hierarchy(desc).unwrap();
+            let k = h.num_leaves();
+            assert!(k <= parse::MAX_PARSE_LEAVES && k > 60_000, "{desc}");
+            check_pair(&h, 0, k - 1);
+            for _ in 0..20_000 {
+                let a = next() % k;
+                // a partner under a random-level ancestor of `a`, so every
+                // LCA level is drawn, not only the root
+                let cp = h.capacity(next() % (h.height() + 1));
+                let b = a / cp * cp + next() % cp;
+                check_pair(&h, a, b);
+                check_pair(&h, a, next() % k);
+            }
+        }
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_lca_table() {
+        let h = Hierarchy::new(vec![2, 3], vec![4.0, 1.0, 0.0]);
+        assert_eq!(h, two_level());
+        assert_ne!(h, Hierarchy::new(vec![2, 3], vec![4.0, 2.0, 0.0]));
+        assert_ne!(h, Hierarchy::new(vec![3, 2], vec![4.0, 1.0, 0.0]));
+        let (hn, _) = Hierarchy::new(vec![2, 2], vec![5.0, 3.0, 2.0]).normalized();
+        assert_eq!(hn, Hierarchy::new(vec![2, 2], vec![3.0, 1.0, 0.0]));
+        let big = format!("{:?}", parse_hierarchy("65536").unwrap());
+        assert!(big.len() < 200, "Debug dumps per-leaf state: {big}");
+    }
+
+    #[test]
+    fn grown_root_scores_like_a_fresh_build() {
+        for (degrees, growths) in [
+            (vec![1], vec![1, 1, 2, 5, 1, 30]),
+            (vec![2, 3], vec![1, 2, 1, 9]),
+            (vec![3, 1, 2], vec![4, 1, 1]),
+            (vec![1, 2, 2], vec![1, 3, 7]),
+        ] {
+            let cm: Vec<f64> = (0..=degrees.len()).rev().map(|j| j as f64).collect();
+            let mut h = Hierarchy::new(degrees.clone(), cm.clone());
+            let mut deg0 = degrees[0];
+            for (step, groups) in growths.into_iter().enumerate() {
+                // every other growth happens while a clone shares the
+                // codes (it must keep its own shape); the others extend
+                // them in place
+                let before = (step % 2 == 0).then(|| h.clone());
+                h.grow_root(groups);
+                deg0 += groups;
+                let mut shape = degrees.clone();
+                shape[0] = deg0;
+                let fresh = Hierarchy::new(shape, cm.clone());
+                assert_eq!(h, fresh);
+                assert_eq!(h.num_leaves(), fresh.num_leaves());
+                for a in 0..h.num_leaves() {
+                    for b in 0..h.num_leaves() {
+                        check_pair(&h, a, b);
+                    }
+                }
+                if let Some(before) = before {
+                    for a in 0..before.num_leaves() {
+                        for b in 0..before.num_leaves() {
+                            check_pair(&before, a, b);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_cost_multiplier_keeps_the_shape() {
+        let mut h = parse_hierarchy("2x3x4:8,4,2,0").unwrap();
+        h.set_cost_multiplier(1, 5.0);
+        assert_eq!(h, parse_hierarchy("2x3x4:8,5,2,0").unwrap());
+        for a in 0..h.num_leaves() {
+            for b in 0..h.num_leaves() {
+                check_pair(&h, a, b);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-increasing")]
+    fn set_cost_multiplier_rejects_an_increasing_level() {
+        parse_hierarchy("2x3:4,1,0")
+            .unwrap()
+            .set_cost_multiplier(2, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 2^32 leaves")]
+    fn rejects_more_leaves_than_u32_indices() {
+        Hierarchy::new(vec![1 << 16, 1 << 16, 2], vec![2.0, 1.0, 0.5, 0.0]);
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //!    [`Solve`] façade: full tree distribution, arena DP, Theorem-5 repair.
 //!    Because the Räcke-tree pipeline is a *bicriteria approximation*, a
 //!    handful of independent seed placements — flat k-way recursive
-//!    bisection plus the Equation-1 refiner, all cheap at coarsest size —
-//!    are scored against it and the best placement (feasible first, then
-//!    cheaper) seeds the uncoarsening. This is the METIS-lineage
-//!    "multiple initial partitions, keep the best" rule.
+//!    bisection plus the Equation-1 refiner — are scored against it and
+//!    the best placement (feasible first, then cheaper) seeds the
+//!    uncoarsening. This is the METIS-lineage "multiple initial
+//!    partitions, keep the best" rule. The panel is not free: on the
+//!    benchmark's 6 000-task instances it is about a quarter of the
+//!    V-cycle's time.
 //! 3. **Uncoarsen + refine** — the coarse placement is projected back one
 //!    rung at a time; at every level a *hierarchy-aware* FM pass moves
 //!    nodes between machine leaves scoring moves by true Equation-1 level
@@ -62,10 +64,14 @@ const ML_SEED_SALT: u64 = 0x4D4C_5643_5943_4C45; // "MLVCYCLE"
 /// one per ladder rung fit easily).
 const ML_SPAN_CAPACITY: usize = 256;
 
-/// Independent k-way seed placements tried on the coarsest instance. The
-/// coarse graph is tiny, so each start costs microseconds, and the spread
-/// between starts (±0.5 % final cost on clustered inputs) is exactly the
-/// margin the bench's every-point acceptance bar needs.
+/// Independent k-way seed placements tried on the coarsest instance, each
+/// polished by the Equation-1 refiner with pair swaps. The spread between
+/// starts (±0.5 % final cost on clustered inputs) is exactly the margin
+/// the bench's every-point acceptance bar needs. The panel is not free:
+/// on `scale-ml`'s 6 000-task instances (coarsest graph ≤ 192 nodes, 16
+/// leaves) the four starts take 14–16 ms per mesh instance and 45–57 ms
+/// per power-law or clustered one on a 2-core Xeon VM, about a quarter of
+/// the V-cycle.
 const KWAY_SEED_STARTS: usize = 4;
 
 /// Label-propagation sweeps per ladder rung on degree-skewed graphs.
@@ -233,9 +239,9 @@ pub fn solve_multilevel(
         let core = Solve::new(&coarse_inst, h).options(*opts).run()?;
         // Alternative seeds: flat k-way recursive bisection + Equation-1
         // refinement on the coarsest graph, multi-started over a handful of
-        // RNG streams — microseconds each at coarsest size, and the packing
-        // decisions made here fix the global structure the FM below cannot
-        // rearrange. The Räcke-tree core carries a worst-case guarantee but
+        // RNG streams (milliseconds each; see KWAY_SEED_STARTS). The
+        // packing decisions made here fix the global structure the FM
+        // below cannot rearrange. The Räcke-tree core carries a worst-case guarantee but
         // is an approximation, so whichever placement scores best (feasible
         // first, then cheaper) seeds the uncoarsening: the METIS-lineage
         // "multiple initial partitions, keep the best" rule.

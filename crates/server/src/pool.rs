@@ -10,8 +10,9 @@
 //! specifies, at batch granularity):
 //!
 //! * deadline already blown with no tree solved → fall back to the fast
-//!   `hgp-baselines` path (multilevel k-way + hierarchy-aware refinement),
-//!   reply tagged `degraded=1 mode=baseline`;
+//!   `hgp-baselines` path (multilevel k-way + hierarchy-aware refinement,
+//!   with pair swaps only up to `refine::SWAP_MAX_TASKS` tasks), reply
+//!   tagged `degraded=1 mode=baseline`;
 //! * blown mid-distribution with ≥1 tree solved → best assignment so far,
 //!   `degraded=1 mode=partial`;
 //! * otherwise the full Theorem-1 sweep, `degraded=0 mode=full`.
@@ -538,12 +539,17 @@ fn solve_inner(
                 &mut rng,
             );
             let mut a = Assignment::new(part, h);
-            refine(&mut a, &inst, h, &RefineOpts::default());
+            refine(&mut a, &inst, h, &RefineOpts::for_tasks(inst.num_tasks()));
             (a, "trees-solved=0".to_string())
         }
     };
     if spec.refine && mode != Mode::Baseline {
-        refine(&mut assignment, &inst, h, &RefineOpts::default());
+        refine(
+            &mut assignment,
+            &inst,
+            h,
+            &RefineOpts::for_tasks(inst.num_tasks()),
+        );
     }
 
     let cost = assignment.cost(&inst, h);
@@ -612,7 +618,12 @@ fn run_multilevel(
     if spec.refine {
         // optional extra baseline-refine sweep on top of the built-in
         // hierarchy-aware passes, within the placement's own budget
-        refine(&mut assignment, inst, h, &RefineOpts::default());
+        refine(
+            &mut assignment,
+            inst,
+            h,
+            &RefineOpts::for_tasks(inst.num_tasks()),
+        );
     }
     let cost = assignment.cost(inst, h);
     let worst = assignment.violation_report(inst, h).worst_factor();

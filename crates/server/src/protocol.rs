@@ -571,7 +571,7 @@ impl Request {
             let (key, val) = parse_kv(tok)?;
             match key {
                 "graph" => graph = Some(GraphSpec::parse(val)?),
-                "machine" => machine = Some(parse_machine(val)?),
+                "machine" => machine = Some(val),
                 "demand" => demand = Some(check_demand(parse_num(key, val)?)?),
                 "demands" => {
                     let ds = val
@@ -594,7 +594,10 @@ impl Request {
                 _ => return Err(WireError::bad(format!("unknown solve field {key:?}"))),
             }
         }
-        let machine: Hierarchy = machine.ok_or_else(|| WireError::bad("solve needs machine=…"))?;
+        // the last `machine=` wins; only it is built, once, since building
+        // a hierarchy costs time and memory in its leaf count
+        let machine =
+            parse_machine(machine.ok_or_else(|| WireError::bad("solve needs machine=…"))?)?;
         // The DP packs per-level demands into 16-bit signature lanes:
         // CP(j)·units must fit in u16 for every level. Capacities decrease
         // with depth, so checking the widest level (1) covers them all —
@@ -646,7 +649,7 @@ impl Request {
         for tok in toks {
             let (key, val) = parse_kv(tok)?;
             match key {
-                "machine" => machine = Some(parse_machine(val)?),
+                "machine" => machine = Some(val),
                 "session" => session = Some(parse_num::<u64>(key, val)?),
                 _ => {
                     return Err(WireError::bad(format!(
@@ -659,7 +662,9 @@ impl Request {
             || session.ok_or_else(|| WireError::bad(format!("{op} needs session=…")));
         let op = match op {
             "new" => IncrOp::New {
-                machine: machine.ok_or_else(|| WireError::bad("new needs machine=…"))?,
+                machine: parse_machine(
+                    machine.ok_or_else(|| WireError::bad("new needs machine=…"))?,
+                )?,
             },
             "info" => IncrOp::Info {
                 session: need_session()?,

@@ -9,9 +9,11 @@
 # seeds 1-10 on both sides, with `--seconds <run_seconds> --trace 0`, each
 # side from its own tree's root, alternating which side goes first. The
 # result lines go to .bench_build/{parent,change}.jsonl in the form the
-# benchmark README describes, and the exit status is `benchmark compare`'s:
-# non-zero when any end-to-end metric regressed past its bound. Needs git,
-# cargo and jq.
+# benchmark README describes. After `benchmark compare`'s verdict table it
+# prints each workload's failed/attempted operations per side. The exit
+# status is non-zero when any end-to-end metric regressed past its bound
+# (`benchmark compare`'s status) or when the change fails a larger share
+# of operations than the parent on any workload. Needs git, cargo and jq.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -62,4 +64,24 @@ for seed in 1 2 3 4 5 6 7 8 9 10; do
     done
   done
 done
-"$out/target-change/release/benchmark" compare "$out/parent.jsonl" "$out/change.jsonl"
+status=0
+"$out/target-change/release/benchmark" compare "$out/parent.jsonl" "$out/change.jsonl" ||
+  status=$?
+
+tally() { # <side>: one "<workload> <failed> <attempted>" line per workload
+  jq -s -r 'group_by(.workload)[]
+    | "\(.[0].workload) \(map(.result.failed) | add) \(map(.result.attempted) | add)"' \
+    "$out/$1.jsonl"
+}
+echo
+printf '%-16s %16s %16s\n' "failed/attempted" parent change
+while read -r workload pf pa; do
+  read -r _ cf ca < <(tally change | awk -v w="$workload" '$1 == w')
+  printf '%-16s %16s %16s\n' "$workload" "$pf/$pa" "$cf/$ca"
+  # cf/ca > pf/pa, compared exactly by cross-multiplying
+  if [ $((cf * pa)) -gt $((pf * ca)) ]; then
+    echo "more failures: $workload fails $cf/$ca operations on the change, $pf/$pa on the parent" >&2
+    status=1
+  fi
+done < <(tally parent)
+exit "$status"

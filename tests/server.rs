@@ -562,6 +562,101 @@ fn an_over_long_line_is_refused_and_closes_the_connection() {
     server.shutdown();
 }
 
+/// A degraded solve at the 65 536-node inline cap answers in seconds: the
+/// baseline fallback's refiner runs its quadratic pair-swap scan only up
+/// to 4 096 tasks. The bound sits far above the second or so this takes
+/// and far below the minutes a swap scan takes at this size.
+#[test]
+fn a_deadline_blown_solve_at_the_node_cap_degrades_within_seconds() {
+    let server = Server::start(ServerConfig::builder().workers(1).build()).expect("start server");
+    let mut client = Client::connect(server.addr());
+    let start = Instant::now();
+    let reply = client.req("solve graph=gen:mesh:256x256:1 machine=2x2:4,1,0 deadline-ms=0");
+    let took = start.elapsed();
+    assert!(reply.starts_with("ok cost="), "{reply}");
+    assert_eq!(reply_field(&reply, "degraded"), Some("1"), "{reply}");
+    assert_eq!(reply_field(&reply, "mode"), Some("baseline"), "{reply}");
+    assert!(
+        took < Duration::from_secs(30),
+        "the baseline fallback took {took:?}"
+    );
+    server.shutdown();
+}
+
+/// A line that repeats `machine=` builds one hierarchy, the last one's,
+/// on the event loop: 100 000 repeats of a 65 536-leaf machine parse in
+/// milliseconds. Building each repeat's per-leaf LCA codes would hold the
+/// loop for seconds.
+#[test]
+fn a_line_repeating_machine_builds_only_the_last_one() {
+    let server = Server::start(ServerConfig::builder().workers(1).build()).expect("start server");
+    let mut client = Client::connect(server.addr());
+    let repeats = " machine=65536".repeat(100_000);
+    let solve = "solve graph=gen:mesh:4x4:1 demand=0.2 trees=2";
+    let last_only = client.req(&format!("{solve} machine=2x2:4,1,0"));
+    for (line, want) in [
+        (
+            format!("{solve}{repeats} machine=2x2:4,1,0"),
+            last_only.as_str(),
+        ),
+        (
+            format!("place-incremental new{repeats} machine=2x2:4,1,0"),
+            "ok session=1 leaves=4",
+        ),
+    ] {
+        let start = Instant::now();
+        let reply = client.req(&line);
+        let took = start.elapsed();
+        let strip = |r: &str| {
+            r.split(' ')
+                .filter(|t| !t.starts_with("elapsed-us=") && !t.starts_with("cache="))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        assert_eq!(strip(&reply), strip(want));
+        assert!(
+            took < Duration::from_secs(1),
+            "{} bytes took {took:?}",
+            line.len()
+        );
+    }
+    server.shutdown();
+}
+
+/// A session `mutate` line that grows the machine one group at a time up
+/// to the leaf cap, or resets a multiplier 100 000 times, answers in
+/// milliseconds on the event loop: growth extends the hierarchy's LCA
+/// codes in place and a multiplier keeps them, where rebuilding them per
+/// token would take seconds.
+#[test]
+fn a_mutate_line_of_many_grow_or_mult_tokens_stays_cheap() {
+    let server = Server::start(ServerConfig::builder().workers(1).build()).expect("start server");
+    let mut client = Client::connect(server.addr());
+    for (machine, tokens, want) in [
+        (
+            "1",
+            " grow=1".repeat(65_535),
+            "ok applied=65535 added=- moves=0 cost=0 max-load=0 leaves=65536",
+        ),
+        (
+            "65536:1,0",
+            " mult=0:1".repeat(100_000),
+            "ok applied=100000 added=- moves=0 cost=0 max-load=0 leaves=65536",
+        ),
+    ] {
+        let opened = client.req(&format!("place-incremental new machine={machine}"));
+        let session = reply_field(&opened, "session").expect("session id");
+        let start = Instant::now();
+        let reply = client.req(&format!(
+            "place-incremental mutate session={session}{tokens}"
+        ));
+        let took = start.elapsed();
+        assert_eq!(reply, want);
+        assert!(took < Duration::from_secs(1), "{machine}: took {took:?}");
+    }
+    server.shutdown();
+}
+
 /// One closed-loop conversation pinned reply by reply: solves (cold,
 /// cached, degraded), a session's whole life, and the errors, including
 /// the removed surface (v1 `stats` and the single-mutation verbs).
