@@ -1,7 +1,7 @@
 //! Multilevel `k`-way partitioning by recursive bisection (METIS-style).
 
-use hgp_graph::partition::{multilevel_bisection, BisectOpts};
-use hgp_graph::Graph;
+use hgp_graph::partition::{multilevel_bisection, BisectOpts, BisectScratch};
+use hgp_graph::{Graph, SubgraphScratch};
 use rand::Rng;
 
 /// Options for [`kway_partition`].
@@ -9,6 +9,15 @@ use rand::Rng;
 pub struct KwayOpts {
     /// Per-bisection options (FM passes, balance slack, …).
     pub bisect: BisectOpts,
+}
+
+/// Buffers one k-way call reuses across all of its bisections.
+#[derive(Default)]
+struct Scratch {
+    sub: SubgraphScratch,
+    sub_w: Vec<f64>,
+    bisect: BisectScratch,
+    side: Vec<bool>,
 }
 
 /// Splits `g` into `k` parts of (near-)equal total node weight by recursive
@@ -28,13 +37,15 @@ pub fn kway_partition<R: Rng + ?Sized>(
     assert_eq!(node_w.len(), g.num_nodes());
     let mut part = vec![0u32; g.num_nodes()];
     let all: Vec<u32> = (0..g.num_nodes() as u32).collect();
-    split(g, node_w, &all, k, 0, opts, rng, &mut part);
+    let mut s = Scratch::default();
+    split(g, node_w, &all, k, 0, opts, rng, &mut part, &mut s);
     part
 }
 
 /// Splits `tasks` into exactly `parts` groups, preserving graph structure;
 /// returns the groups (used directly by the dual-recursive mapper, which
-/// needs the groups themselves rather than ids).
+/// needs the groups themselves rather than ids). `tasks` may come in any
+/// order; a task listed twice counts once.
 pub fn split_into_groups<R: Rng + ?Sized>(
     g: &Graph,
     node_w: &[f64],
@@ -47,11 +58,19 @@ pub fn split_into_groups<R: Rng + ?Sized>(
     if parts == 1 {
         return vec![tasks.to_vec()];
     }
-    let k0 = parts.div_ceil(2);
-    let (a, b) = bisect_tasks(g, node_w, tasks, k0 as f64 / parts as f64, opts, rng);
-    let mut out = split_into_groups(g, node_w, &a, k0, opts, rng);
-    out.extend(split_into_groups(g, node_w, &b, parts - k0, opts, rng));
-    out
+    // the bisections below extract subgraphs of ascending task lists, and
+    // each group comes out ascending
+    let mut sorted = tasks.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut part = vec![0u32; g.num_nodes()];
+    let mut s = Scratch::default();
+    split(g, node_w, &sorted, parts, 0, opts, rng, &mut part, &mut s);
+    let mut groups = vec![Vec::new(); parts];
+    for &t in &sorted {
+        groups[part[t as usize] as usize].push(t);
+    }
+    groups
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -64,6 +83,7 @@ fn split<R: Rng + ?Sized>(
     opts: &KwayOpts,
     rng: &mut R,
     part: &mut [u32],
+    s: &mut Scratch,
 ) {
     if k == 1 {
         for &t in tasks {
@@ -72,12 +92,13 @@ fn split<R: Rng + ?Sized>(
         return;
     }
     let k0 = k.div_ceil(2);
-    let (a, b) = bisect_tasks(g, node_w, tasks, k0 as f64 / k as f64, opts, rng);
-    split(g, node_w, &a, k0, base, opts, rng, part);
-    split(g, node_w, &b, k - k0, base + k0 as u32, opts, rng, part);
+    let (a, b) = bisect_tasks(g, node_w, tasks, k0 as f64 / k as f64, opts, rng, s);
+    split(g, node_w, &a, k0, base, opts, rng, part, s);
+    split(g, node_w, &b, k - k0, base + k0 as u32, opts, rng, part, s);
 }
 
-/// Bisects a subset of tasks with target fraction `frac` on side 0.
+/// Bisects a strictly ascending list of tasks with target fraction `frac`
+/// on side 0; both halves come back ascending.
 fn bisect_tasks<R: Rng + ?Sized>(
     g: &Graph,
     node_w: &[f64],
@@ -85,36 +106,38 @@ fn bisect_tasks<R: Rng + ?Sized>(
     frac: f64,
     opts: &KwayOpts,
     rng: &mut R,
+    s: &mut Scratch,
 ) -> (Vec<u32>, Vec<u32>) {
     if tasks.len() <= 1 {
         return (tasks.to_vec(), Vec::new());
     }
-    let mut keep = vec![false; g.num_nodes()];
-    for &t in tasks {
-        keep[t as usize] = true;
-    }
-    let (sub, map) = g.induced_subgraph(&keep);
-    let sub_w: Vec<f64> = map.iter().map(|v| node_w[v.index()]).collect();
+    g.induced_subgraph_into(tasks, &mut s.sub);
+    s.sub_w.clear();
+    s.sub_w.extend(tasks.iter().map(|&t| node_w[t as usize]));
     let mut bopts = opts.bisect;
     bopts.target0_frac = frac;
-    let bis = multilevel_bisection(&sub, &sub_w, &bopts, rng);
+    multilevel_bisection(
+        s.sub.graph(),
+        &s.sub_w,
+        &bopts,
+        rng,
+        &mut s.bisect,
+        &mut s.side,
+    );
     let mut a = Vec::new();
     let mut b = Vec::new();
-    for (i, &s) in bis.side.iter().enumerate() {
-        if s {
-            b.push(map[i].0);
+    for (&t, &side) in tasks.iter().zip(&s.side) {
+        if side {
+            b.push(t);
         } else {
-            a.push(map[i].0);
+            a.push(t);
         }
     }
     // guard against degenerate splits
     if a.is_empty() || b.is_empty() {
-        let mut sorted = tasks.to_vec();
-        sorted.sort_unstable();
-        let mid = ((sorted.len() as f64) * frac).round().max(1.0) as usize;
-        let mid = mid.min(sorted.len() - 1);
-        let b2 = sorted.split_off(mid);
-        return (sorted, b2);
+        let mid = ((tasks.len() as f64) * frac).round().max(1.0) as usize;
+        let mid = mid.min(tasks.len() - 1);
+        return (tasks[..mid].to_vec(), tasks[mid..].to_vec());
     }
     (a, b)
 }

@@ -617,6 +617,7 @@ impl Session {
     fn validate(&self, batch: &[Mutation]) -> Result<(), MutationError> {
         let mut live = self.active.clone();
         let mut drained = self.drained.clone();
+        let mut undrained = drained.iter().filter(|&&d| !d).count();
         let mut deg0 = self.h.degree(0);
         let cp1 = self.h.capacity(1);
         let mut k = self.h.num_leaves();
@@ -667,7 +668,8 @@ impl Session {
                         return Err(MutationError::AlreadyDrained { index, leaf: *leaf });
                     }
                     drained[*leaf] = true;
-                    if drained.iter().all(|&d| d) {
+                    undrained -= 1;
+                    if undrained == 0 {
                         return Err(MutationError::NoUndrainedLeaf { index });
                     }
                 }
@@ -687,6 +689,7 @@ impl Session {
                     }
                     deg0 += *groups;
                     drained.resize(new_k, false);
+                    undrained += new_k - k;
                     k = new_k;
                 }
                 Mutation::SetMultiplier { level, multiplier } => {

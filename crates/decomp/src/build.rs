@@ -6,7 +6,7 @@
 //! the root test tree (`tests/oracle/alloc_sampler.rs`), and
 //! `tests/determinism.rs` requires the two to build bit-identical trees.
 
-use hgp_graph::partition::{fm_refine, multilevel_bisection_with, BisectOpts, BisectScratch};
+use hgp_graph::partition::{fm_refine, multilevel_bisection, BisectOpts, BisectScratch};
 use hgp_graph::spectral::{spectral_bisection, SpectralOpts};
 use hgp_graph::tree::RootedTree;
 use hgp_graph::{Graph, NodeId, SubgraphScratch};
@@ -110,7 +110,7 @@ impl DecompScratch {
 
 /// Runs the configured oracle on one cluster's induced subgraph, leaving
 /// the chosen side in `side`. The builder consumes only the side, so the
-/// cut and side weights of a full `Bisection` are not computed.
+/// multilevel arm's cut statistics are dropped.
 fn bisect_cluster_with<R: Rng + ?Sized>(
     sub: &Graph,
     sub_w: &[f64],
@@ -121,7 +121,7 @@ fn bisect_cluster_with<R: Rng + ?Sized>(
 ) {
     match opts.oracle {
         CutOracle::Multilevel => {
-            multilevel_bisection_with(sub, sub_w, &opts.bisect, rng, bisect, side);
+            multilevel_bisection(sub, sub_w, &opts.bisect, rng, bisect, side);
         }
         CutOracle::Spectral => {
             let mut s = spectral_bisection(
@@ -135,7 +135,7 @@ fn bisect_cluster_with<R: Rng + ?Sized>(
             if !opts.bisect.no_refine {
                 let total: f64 = sub_w.iter().sum();
                 let cap = 0.5 * total * (1.0 + opts.bisect.eps);
-                fm_refine(sub, sub_w, &mut s, cap, cap, opts.bisect.fm_passes);
+                fm_refine(sub, sub_w, &mut s, cap, cap, opts.bisect.fm_passes, bisect);
             }
             side.clear();
             side.extend_from_slice(&s);

@@ -110,11 +110,6 @@ impl GraphBuilder {
         self.num_nodes = self.num_nodes.max(n);
     }
 
-    /// Reserves room for at least `additional` more edges.
-    pub fn reserve_edges(&mut self, additional: usize) {
-        self.edges.reserve(additional);
-    }
-
     /// Adds an undirected edge `{u, v}` with weight `w`.
     ///
     /// # Panics
@@ -359,33 +354,12 @@ impl Graph {
         out.total_weight = out.edges.iter().map(|e| e.2).sum();
     }
 
-    /// Extracts the subgraph induced by `keep` (nodes with `keep[v]`),
-    /// returning the subgraph plus the mapping from new ids to original ids.
-    pub fn induced_subgraph(&self, keep: &[bool]) -> (Graph, Vec<NodeId>) {
-        assert_eq!(keep.len(), self.num_nodes());
-        let mut old_to_new = vec![u32::MAX; self.num_nodes()];
-        let mut new_to_old = Vec::new();
-        for v in 0..self.num_nodes() {
-            if keep[v] {
-                old_to_new[v] = new_to_old.len() as u32;
-                new_to_old.push(NodeId(v as u32));
-            }
-        }
-        let mut b = GraphBuilder::new(new_to_old.len());
-        for &(u, v, w) in &self.edges {
-            let (nu, nv) = (old_to_new[u as usize], old_to_new[v as usize]);
-            if nu != u32::MAX && nv != u32::MAX {
-                b.add_edge(NodeId(nu), NodeId(nv), w);
-            }
-        }
-        (b.build(), new_to_old)
-    }
-
-    /// Scratch-buffer variant of [`Graph::induced_subgraph`] for hot loops:
-    /// extracts the subgraph induced by `members` (strictly ascending
+    /// Extracts the subgraph induced by `members` (strictly ascending
     /// original node ids) into `scratch`, reusing its allocations across
-    /// calls. The produced graph and mapping are **bit-identical** to
-    /// [`Graph::induced_subgraph`] on the corresponding membership mask.
+    /// calls: the subgraph's node `k` is `members[k]`, and its edges are the
+    /// edges of this graph with both endpoints in `members`. The produced
+    /// graph is **bit-identical** to building the same edges through a
+    /// [`GraphBuilder`].
     ///
     /// No sort is needed: the old→new id mapping is monotone, and each
     /// node's CSR adjacency lists its larger neighbours in ascending order,
@@ -518,6 +492,29 @@ mod tests {
         Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
     }
 
+    // The subgraph induced by `keep` (nodes with `keep[v]`) through a
+    // fresh `GraphBuilder`, plus the mapping from new ids to original
+    // ids: the reference for `induced_subgraph_into`.
+    fn induced_subgraph(g: &Graph, keep: &[bool]) -> (Graph, Vec<NodeId>) {
+        assert_eq!(keep.len(), g.num_nodes());
+        let mut old_to_new = vec![u32::MAX; g.num_nodes()];
+        let mut new_to_old = Vec::new();
+        for v in 0..g.num_nodes() {
+            if keep[v] {
+                old_to_new[v] = new_to_old.len() as u32;
+                new_to_old.push(NodeId(v as u32));
+            }
+        }
+        let mut b = GraphBuilder::new(new_to_old.len());
+        for &(u, v, w) in &g.edges {
+            let (nu, nv) = (old_to_new[u as usize], old_to_new[v as usize]);
+            if nu != u32::MAX && nv != u32::MAX {
+                b.add_edge(NodeId(nu), NodeId(nv), w);
+            }
+        }
+        (b.build(), new_to_old)
+    }
+
     #[test]
     fn builds_csr_triangle() {
         let g = triangle();
@@ -563,7 +560,7 @@ mod tests {
     #[test]
     fn induced_subgraph_keeps_internal_edges() {
         let g = Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]);
-        let (sub, map) = g.induced_subgraph(&[true, true, true, false]);
+        let (sub, map) = induced_subgraph(&g, &[true, true, true, false]);
         assert_eq!(sub.num_nodes(), 3);
         assert_eq!(sub.num_edges(), 2);
         assert_eq!(map, vec![NodeId(0), NodeId(1), NodeId(2)]);
@@ -613,7 +610,7 @@ mod tests {
         ];
         for members in subsets {
             let keep: Vec<bool> = (0..n).map(|v| members.contains(&(v as u32))).collect();
-            let (want, want_map) = g.induced_subgraph(&keep);
+            let (want, want_map) = induced_subgraph(&g, &keep);
             g.induced_subgraph_into(&members, &mut scratch);
             let got = scratch.graph();
             assert_eq!(scratch.map(), &want_map[..]);
@@ -655,12 +652,15 @@ mod tests {
         assert_eq!(got.total_weight.to_bits(), want.total_weight.to_bits());
     }
 
+    // A node count and an edge list to feed a builder.
+    type EdgeListCase = (usize, Vec<(u32, u32, f64)>);
+
     #[test]
     fn build_into_reuses_buffers_and_matches_build() {
         // several graphs of different sizes through one builder + one out
         // graph: reset/build_into must be bit-identical to a fresh build(),
         // including the loop-drop + parallel-merge normalisation
-        let cases: Vec<(usize, Vec<(u32, u32, f64)>)> = vec![
+        let cases: Vec<EdgeListCase> = vec![
             (3, vec![(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]),
             (4, vec![(2, 1, 0.5), (1, 2, 0.25), (3, 3, 9.0), (0, 3, 1.5)]),
             (1, vec![]),

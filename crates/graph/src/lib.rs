@@ -22,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-pub mod dag;
 pub mod flow;
 pub mod generators;
 pub mod gomoryhu;

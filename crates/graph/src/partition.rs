@@ -1,12 +1,19 @@
-//! Balanced two-way partitioning primitives: greedy growing,
-//! Fiduccia–Mattheyses refinement, heavy-edge-matching coarsening and the
-//! multilevel bisection built from them.
+//! Balanced two-way partitioning: the multilevel bisection engine and the
+//! graph contractions of the multilevel placement ladder.
 //!
-//! These are the work-horses shared by the decomposition-tree builder
-//! (`hgp-decomp`) and the k-BGP baselines (`hgp-baselines`). They operate on
-//! *node-weighted* graphs: `node_w[v]` is the demand of `v`, and a bisection
+//! [`multilevel_bisection`] coarsens by heavy-edge matching, grows an
+//! initial partition on the coarsest graph, then projects it back up,
+//! refining with Fiduccia–Mattheyses passes at every level. It is the one
+//! bisection in the workspace: the decomposition-tree builder
+//! (`hgp-decomp`) and the k-way baselines (`hgp-baselines`) both call it,
+//! and it draws every buffer from a reusable [`BisectScratch`]. Graphs are
+//! *node-weighted*: `node_w[v]` is the demand of `v`, and a bisection
 //! targets a prescribed fraction of total demand on side 0 within a
 //! multiplicative tolerance.
+//!
+//! The ladder of `hgp-multilevel` contracts with [`coarsen_capped`] (the
+//! engine's heavy-edge matcher under a node-weight cap) and
+//! [`coarsen_lp`] (size-constrained label propagation).
 
 #![allow(clippy::needless_range_loop)] // parallel-array indexing is clearer here
 use crate::{Graph, GraphBuilder, NodeId};
@@ -15,8 +22,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 // Max-heap candidate ordered by key then node id — shared by the greedy
-// grower and the FM pass (both the allocating reference paths and the
-// scratch-backed ones, which must pop in exactly the same order).
+// grower and the FM pass.
 #[derive(Debug, PartialEq)]
 struct Cand(f64, u32);
 impl Eq for Cand {}
@@ -34,213 +40,6 @@ impl Ord for Cand {
     }
 }
 
-/// Result of a two-way partition: `side[v]` is `false` for side 0, `true`
-/// for side 1.
-#[derive(Clone, Debug)]
-pub struct Bisection {
-    /// Side of each node (`false` = side 0).
-    pub side: Vec<bool>,
-    /// Total weight of edges crossing the partition.
-    pub cut: f64,
-    /// Total node weight on side 0.
-    pub weight0: f64,
-    /// Total node weight on side 1.
-    pub weight1: f64,
-}
-
-impl Bisection {
-    fn from_side(g: &Graph, node_w: &[f64], side: Vec<bool>) -> Self {
-        let cut = g.cut_weight(&side);
-        let mut w0 = 0.0;
-        let mut w1 = 0.0;
-        for (v, &s) in side.iter().enumerate() {
-            if s {
-                w1 += node_w[v];
-            } else {
-                w0 += node_w[v];
-            }
-        }
-        Bisection {
-            side,
-            cut,
-            weight0: w0,
-            weight1: w1,
-        }
-    }
-}
-
-/// Greedy BFS growing: grow side 0 from `seed` by repeatedly absorbing the
-/// frontier node with the largest attraction (edge weight into side 0) until
-/// side 0's node weight reaches `target0`. Remaining nodes form side 1.
-pub fn grow_bisection(g: &Graph, node_w: &[f64], target0: f64, seed: NodeId) -> Bisection {
-    let n = g.num_nodes();
-    assert_eq!(node_w.len(), n);
-    let mut side = vec![true; n]; // everything starts on side 1
-    let mut attraction = vec![0f64; n];
-    let mut in0 = vec![false; n];
-
-    let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
-    let mut w0 = 0.0;
-    let absorb = |v: usize,
-                  heap: &mut BinaryHeap<Cand>,
-                  in0: &mut Vec<bool>,
-                  side: &mut Vec<bool>,
-                  attraction: &mut Vec<f64>,
-                  w0: &mut f64| {
-        in0[v] = true;
-        side[v] = false;
-        *w0 += node_w[v];
-        for (u, w, _) in g.neighbors(NodeId(v as u32)) {
-            if !in0[u.index()] {
-                attraction[u.index()] += w;
-                heap.push(Cand(attraction[u.index()], u.0));
-            }
-        }
-    };
-
-    absorb(
-        seed.index(),
-        &mut heap,
-        &mut in0,
-        &mut side,
-        &mut attraction,
-        &mut w0,
-    );
-    while w0 < target0 {
-        // pull the best still-valid candidate; fall back to any unabsorbed node
-        let next = loop {
-            match heap.pop() {
-                Some(Cand(a, v)) => {
-                    let v = v as usize;
-                    if !in0[v] && (a - attraction[v]).abs() < 1e-12 {
-                        break Some(v);
-                    }
-                }
-                None => break None,
-            }
-        };
-        let v = match next.or_else(|| (0..n).find(|&v| !in0[v])) {
-            Some(v) => v,
-            None => break, // everything absorbed
-        };
-        absorb(v, &mut heap, &mut in0, &mut side, &mut attraction, &mut w0);
-    }
-    Bisection::from_side(g, node_w, side)
-}
-
-/// One Fiduccia–Mattheyses pass with rollback to the best prefix.
-///
-/// Moves nodes (each at most once) between sides in order of decreasing
-/// gain, subject to side capacities `cap0`/`cap1` (maximum allowed node
-/// weight per side), then rewinds to the prefix with the smallest cut seen.
-/// Returns the cut improvement (≥ 0). `side` is updated in place.
-pub fn fm_pass(g: &Graph, node_w: &[f64], side: &mut [bool], cap0: f64, cap1: f64) -> f64 {
-    let n = g.num_nodes();
-    assert_eq!(node_w.len(), n);
-    assert_eq!(side.len(), n);
-
-    // gain[v] = external weight - internal weight (cut reduction if moved)
-    let mut gain = vec![0f64; n];
-    for (_, u, v, w) in g.edges() {
-        if side[u.index()] != side[v.index()] {
-            gain[u.index()] += w;
-            gain[v.index()] += w;
-        } else {
-            gain[u.index()] -= w;
-            gain[v.index()] -= w;
-        }
-    }
-    let mut w0 = 0.0;
-    let mut w1 = 0.0;
-    for v in 0..n {
-        if side[v] {
-            w1 += node_w[v];
-        } else {
-            w0 += node_w[v];
-        }
-    }
-
-    let mut heap: BinaryHeap<Cand> = (0..n).map(|v| Cand(gain[v], v as u32)).collect();
-    let mut moved = vec![false; n];
-    let mut history: Vec<u32> = Vec::new();
-    let mut cum = 0.0;
-    let mut best_cum = 0.0;
-    let mut best_len = 0usize;
-
-    while let Some(Cand(gn, v)) = heap.pop() {
-        let v = v as usize;
-        if moved[v] || (gn - gain[v]).abs() > 1e-12 {
-            continue; // stale entry
-        }
-        // capacity check: moving v to the opposite side
-        let fits = if side[v] {
-            w0 + node_w[v] <= cap0
-        } else {
-            w1 + node_w[v] <= cap1
-        };
-        if !fits {
-            continue; // cannot move v this pass
-        }
-        // execute the move
-        moved[v] = true;
-        history.push(v as u32);
-        cum += gain[v];
-        if side[v] {
-            w1 -= node_w[v];
-            w0 += node_w[v];
-        } else {
-            w0 -= node_w[v];
-            w1 += node_w[v];
-        }
-        side[v] = !side[v];
-        for (u, w, _) in g.neighbors(NodeId(v as u32)) {
-            let u = u.index();
-            if moved[u] {
-                continue;
-            }
-            // v changed sides: if u is now on the same side as v, the edge
-            // became internal (u's gain -= 2w), else external (gain += 2w)
-            if side[u] == side[v] {
-                gain[u] -= 2.0 * w;
-            } else {
-                gain[u] += 2.0 * w;
-            }
-            heap.push(Cand(gain[u], u as u32));
-        }
-        if cum > best_cum + 1e-12 {
-            best_cum = cum;
-            best_len = history.len();
-        }
-    }
-
-    // rollback moves after the best prefix
-    for &v in history[best_len..].iter().rev() {
-        side[v as usize] = !side[v as usize];
-    }
-    best_cum
-}
-
-/// Repeated FM passes until a pass yields no improvement (or `max_passes`).
-/// Returns the total improvement.
-pub fn fm_refine(
-    g: &Graph,
-    node_w: &[f64],
-    side: &mut [bool],
-    cap0: f64,
-    cap1: f64,
-    max_passes: usize,
-) -> f64 {
-    let mut total = 0.0;
-    for _ in 0..max_passes {
-        let imp = fm_pass(g, node_w, side, cap0, cap1);
-        total += imp;
-        if imp <= 1e-12 {
-            break;
-        }
-    }
-    total
-}
-
 /// Result of one coarsening step.
 #[derive(Clone, Debug)]
 pub struct Coarsening {
@@ -252,143 +51,41 @@ pub struct Coarsening {
     pub node_w: Vec<f64>,
 }
 
-/// Heavy-edge matching coarsening: visit nodes in a random order, match each
-/// unmatched node with its unmatched neighbour of maximum edge weight, and
-/// contract matched pairs.
-pub fn coarsen<R: Rng + ?Sized>(g: &Graph, node_w: &[f64], rng: &mut R) -> Coarsening {
-    let n = g.num_nodes();
-    assert_eq!(node_w.len(), n);
-    let mut order: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        order.swap(i, j);
-    }
-    let mut mate = vec![u32::MAX; n];
-    for &v in &order {
-        if mate[v] != u32::MAX {
-            continue;
-        }
-        let mut best = u32::MAX;
-        let mut best_w = f64::NEG_INFINITY;
-        for (u, w, _) in g.neighbors(NodeId(v as u32)) {
-            if mate[u.index()] == u32::MAX && u.index() != v && w > best_w {
-                best_w = w;
-                best = u.0;
-            }
-        }
-        if best != u32::MAX {
-            mate[v] = best;
-            mate[best as usize] = v as u32;
-        } else {
-            mate[v] = v as u32; // matched with itself
-        }
-    }
-    // assign coarse ids
-    let mut map = vec![u32::MAX; n];
-    let mut coarse_w = Vec::new();
-    for v in 0..n {
-        if map[v] != u32::MAX {
-            continue;
-        }
-        let id = coarse_w.len() as u32;
-        let m = mate[v] as usize;
-        map[v] = id;
-        let mut w = node_w[v];
-        if m != v {
-            map[m] = id;
-            w += node_w[m];
-        }
-        coarse_w.push(w);
-    }
-    let mut b = GraphBuilder::new(coarse_w.len());
-    for (_, u, v, w) in g.edges() {
-        let (cu, cv) = (map[u.index()], map[v.index()]);
-        if cu != cv {
-            b.add_edge(NodeId(cu), NodeId(cv), w);
-        }
-    }
-    Coarsening {
-        graph: b.build(),
-        map,
-        node_w: coarse_w,
-    }
-}
-
-/// Weight-aware heavy-edge matching coarsening: like [`coarsen`], but a
-/// pair is only matched when the merged node weight stays within
-/// `max_node_w`, so contracted nodes never outgrow a capacity bound the
-/// caller must respect downstream (the multilevel placement front-end uses
-/// the leaf capacity `CP(1) = 1`). Nodes whose every heavy neighbour would
-/// overflow the bound stay unmatched and survive to the coarse graph
-/// unchanged, which makes the ladder stall — rather than violate the
-/// bound — on graphs of near-capacity nodes.
+/// Weight-aware heavy-edge matching coarsening: visit nodes in a random
+/// order, match each unmatched node with its unmatched neighbour of
+/// maximum edge weight, and contract matched pairs — but only when the
+/// merged node weight stays within `max_node_w`, so contracted nodes never
+/// outgrow a capacity bound the caller must respect downstream (the
+/// multilevel placement front-end uses the leaf capacity `CP(1) = 1`).
+/// Nodes whose every heavy neighbour would overflow the bound stay
+/// unmatched and survive to the coarse graph unchanged, which makes the
+/// ladder stall — rather than violate the bound — on graphs of
+/// near-capacity nodes.
+///
+/// This is the allocating front end of the matcher the bisection engine
+/// runs (with an infinite cap) on every level of its ladder.
 pub fn coarsen_capped<R: Rng + ?Sized>(
     g: &Graph,
     node_w: &[f64],
     max_node_w: f64,
     rng: &mut R,
 ) -> Coarsening {
-    let n = g.num_nodes();
-    assert_eq!(node_w.len(), n);
-    assert!(max_node_w > 0.0, "max_node_w must be positive");
-    let mut order: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        order.swap(i, j);
-    }
-    let mut mate = vec![u32::MAX; n];
-    for &v in &order {
-        if mate[v] != u32::MAX {
-            continue;
-        }
-        let mut best = u32::MAX;
-        let mut best_w = f64::NEG_INFINITY;
-        for (u, w, _) in g.neighbors(NodeId(v as u32)) {
-            if mate[u.index()] == u32::MAX
-                && u.index() != v
-                && node_w[v] + node_w[u.index()] <= max_node_w
-                && w > best_w
-            {
-                best_w = w;
-                best = u.0;
-            }
-        }
-        if best != u32::MAX {
-            mate[v] = best;
-            mate[best as usize] = v as u32;
-        } else {
-            mate[v] = v as u32; // matched with itself
-        }
-    }
-    // assign coarse ids
-    let mut map = vec![u32::MAX; n];
-    let mut coarse_w = Vec::new();
-    for v in 0..n {
-        if map[v] != u32::MAX {
-            continue;
-        }
-        let id = coarse_w.len() as u32;
-        let m = mate[v] as usize;
-        map[v] = id;
-        let mut w = node_w[v];
-        if m != v {
-            map[m] = id;
-            w += node_w[m];
-        }
-        coarse_w.push(w);
-    }
-    let mut b = GraphBuilder::with_edge_capacity(coarse_w.len(), g.num_edges());
-    for (_, u, v, w) in g.edges() {
-        let (cu, cv) = (map[u.index()], map[v.index()]);
-        if cu != cv {
-            b.add_edge(NodeId(cu), NodeId(cv), w);
-        }
-    }
-    Coarsening {
-        graph: b.build(),
-        map,
-        node_w: coarse_w,
-    }
+    let mut level = LevelScratch::default();
+    let mut builder = GraphBuilder::with_edge_capacity(0, g.num_edges());
+    coarsen_capped_into(
+        g,
+        node_w,
+        max_node_w,
+        rng,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut builder,
+        &mut level,
+    );
+    let LevelScratch {
+        graph, map, node_w, ..
+    } = level;
+    Coarsening { graph, map, node_w }
 }
 
 /// Size-constrained label-propagation clustering coarsening (the KaHIP
@@ -531,87 +228,8 @@ impl Default for BisectOpts {
     }
 }
 
-/// Multilevel balanced bisection: coarsen by heavy-edge matching, grow an
-/// initial partition on the coarsest graph, then project back up refining
-/// with FM at every level. Deterministic given the RNG state.
-///
-/// Total on degenerate inputs: an empty graph yields the empty bisection
-/// (zero cut, zero weights) and a single node lands on side 0.
-pub fn multilevel_bisection<R: Rng + ?Sized>(
-    g: &Graph,
-    node_w: &[f64],
-    opts: &BisectOpts,
-    rng: &mut R,
-) -> Bisection {
-    let n = g.num_nodes();
-    assert_eq!(node_w.len(), n);
-    if n == 0 {
-        return Bisection::from_side(g, node_w, Vec::new());
-    }
-    let total: f64 = node_w.iter().sum();
-    let target0 = opts.target0_frac * total;
-    let cap0 = target0 * (1.0 + opts.eps);
-    let cap1 = (total - target0) * (1.0 + opts.eps);
-
-    if n <= opts.coarsen_until.max(2) {
-        return initial_bisection(g, node_w, target0, cap0, cap1, opts, rng);
-    }
-
-    let c = coarsen(g, node_w, rng);
-    if c.graph.num_nodes() as f64 > 0.95 * n as f64 {
-        // coarsening stalled (e.g. star graphs): solve directly
-        return initial_bisection(g, node_w, target0, cap0, cap1, opts, rng);
-    }
-    let coarse = multilevel_bisection(&c.graph, &c.node_w, opts, rng);
-    // project
-    let mut side = vec![false; n];
-    for v in 0..n {
-        side[v] = coarse.side[c.map[v] as usize];
-    }
-    if !opts.no_refine {
-        fm_refine(g, node_w, &mut side, cap0, cap1, opts.fm_passes);
-    }
-    Bisection::from_side(g, node_w, side)
-}
-
-fn initial_bisection<R: Rng + ?Sized>(
-    g: &Graph,
-    node_w: &[f64],
-    target0: f64,
-    cap0: f64,
-    cap1: f64,
-    opts: &BisectOpts,
-    rng: &mut R,
-) -> Bisection {
-    let n = g.num_nodes();
-    if n <= 1 {
-        // degenerate: nothing to split — everything (if anything) on side 0
-        return Bisection::from_side(g, node_w, vec![false; n]);
-    }
-    let one_try = |rng: &mut R| {
-        let seed = NodeId(rng.gen_range(0..n as u32));
-        let mut b = grow_bisection(g, node_w, target0, seed);
-        if !opts.no_refine {
-            fm_refine(g, node_w, &mut b.side, cap0, cap1, opts.fm_passes);
-            b = Bisection::from_side(g, node_w, b.side);
-        }
-        b
-    };
-    // seeding with the first try keeps this total: NaN cuts (from
-    // pathological weights) can never talk us out of every candidate
-    let mut best = one_try(rng);
-    for _ in 1..opts.tries.max(1) {
-        let b = one_try(rng);
-        if b.cut < best.cut {
-            best = b;
-        }
-    }
-    best
-}
-
 /// Cut weight and per-side node weights of a bisection whose `side`
-/// vector lives in a caller-supplied buffer (the scratch-path counterpart
-/// of the owned fields on [`Bisection`]).
+/// vector lives in a caller-supplied buffer.
 #[derive(Clone, Copy, Debug)]
 pub struct SideStats {
     /// Total weight of edges crossing the partition.
@@ -645,15 +263,14 @@ struct LevelScratch {
     side: Vec<bool>,
 }
 
-/// Reusable buffers for [`multilevel_bisection_with`].
+/// Reusable buffers for [`multilevel_bisection`] and [`fm_refine`].
 ///
 /// One scratch serves any sequence of bisections of any sizes — the
-/// decomposition-tree recursion performs thousands per tree, and reusing
-/// this arena instead of allocating per call is what removes the
-/// distribution stage's allocator traffic. Results are **bit-identical**
-/// to the allocating [`multilevel_bisection`] path (pinned by tests);
-/// the scratch carries no information between calls that could influence
-/// an output.
+/// decomposition-tree recursion performs thousands per tree, and a k-way
+/// partition one per part — and reusing this arena instead of allocating
+/// per call is what removes the bisection's allocator traffic. A scratch
+/// is an *allocation* cache, never a *value* cache: it carries no
+/// information between calls that could influence an output.
 #[derive(Debug, Default)]
 pub struct BisectScratch {
     fm: FmScratch,
@@ -676,7 +293,11 @@ impl BisectScratch {
     }
 }
 
-// One FM pass into reusable buffers; bit-identical to `fm_pass`.
+// One Fiduccia–Mattheyses pass with rollback to the best prefix: moves
+// nodes (each at most once) between sides in order of decreasing gain,
+// subject to the side capacities `cap0`/`cap1` (maximum node weight per
+// side), then rewinds to the prefix with the smallest cut seen. Returns
+// the cut improvement (≥ 0); `side` is updated in place.
 fn fm_pass_with(
     g: &Graph,
     node_w: &[f64],
@@ -716,8 +337,6 @@ fn fm_pass_with(
         }
     }
 
-    // BinaryHeap::from(vec) heapifies exactly like the reference path's
-    // collect(), so the pop order — and therefore every move — coincides
     heap_buf.clear();
     heap_buf.extend((0..n).map(|v| Cand(gain[v], v as u32)));
     let mut heap = BinaryHeap::from(std::mem::take(heap_buf));
@@ -778,7 +397,8 @@ fn fm_pass_with(
     best_cum
 }
 
-// Repeated scratch-path FM passes; bit-identical to `fm_refine`.
+// `fm_refine` on the FM buffers alone, for the engine, which holds the
+// rest of the scratch borrowed.
 fn fm_refine_with(
     g: &Graph,
     node_w: &[f64],
@@ -799,8 +419,28 @@ fn fm_refine_with(
     total
 }
 
-// Greedy growing into reusable buffers; the produced `side` is
-// bit-identical to `grow_bisection`'s.
+/// Repeated Fiduccia–Mattheyses passes over a given bisection until a pass
+/// yields no improvement (or `max_passes`). Each pass moves nodes (each at
+/// most once) between sides in order of decreasing gain, subject to the
+/// side capacities `cap0`/`cap1` (maximum node weight per side), and
+/// rewinds to the prefix with the smallest cut seen. `side` is updated in
+/// place; returns the total cut improvement (≥ 0).
+pub fn fm_refine(
+    g: &Graph,
+    node_w: &[f64],
+    side: &mut [bool],
+    cap0: f64,
+    cap1: f64,
+    max_passes: usize,
+    scratch: &mut BisectScratch,
+) -> f64 {
+    fm_refine_with(g, node_w, side, cap0, cap1, max_passes, &mut scratch.fm)
+}
+
+// Greedy BFS growing into `side`: grow side 0 from `seed` by repeatedly
+// absorbing the frontier node with the largest attraction (edge weight
+// into side 0) until side 0's node weight reaches `target0`. Remaining
+// nodes form side 1.
 fn grow_bisection_into(
     g: &Graph,
     node_w: &[f64],
@@ -844,6 +484,7 @@ fn grow_bisection_into(
 
     absorb(seed.index(), &mut heap, in0, side, attraction, &mut w0);
     while w0 < target0 {
+        // pull the best still-valid candidate; fall back to any unabsorbed node
         let next = loop {
             match heap.pop() {
                 Some(Cand(a, v)) => {
@@ -865,11 +506,17 @@ fn grow_bisection_into(
     heap_buf.clear();
 }
 
-// Heavy-edge matching coarsening into a ladder level's reusable buffers;
-// bit-identical to `coarsen` (same RNG draws, same coarse ids).
-fn coarsen_into<R: Rng + ?Sized>(
+// Heavy-edge matching into a ladder level's reusable buffers: visit nodes
+// in a random order, match each unmatched node with its unmatched
+// neighbour of maximum edge weight whose merged node weight stays within
+// `max_node_w`, and contract matched pairs. The bisection engine passes an
+// infinite cap, which every pair of finite weights meets; the cap test
+// comes last so that it costs an addition only for a heavier neighbour.
+#[allow(clippy::too_many_arguments)]
+fn coarsen_capped_into<R: Rng + ?Sized>(
     g: &Graph,
     node_w: &[f64],
+    max_node_w: f64,
     rng: &mut R,
     order: &mut Vec<usize>,
     mate: &mut Vec<u32>,
@@ -878,6 +525,7 @@ fn coarsen_into<R: Rng + ?Sized>(
 ) {
     let n = g.num_nodes();
     assert_eq!(node_w.len(), n);
+    assert!(max_node_w > 0.0, "max_node_w must be positive");
     order.clear();
     order.extend(0..n);
     for i in (1..n).rev() {
@@ -893,7 +541,11 @@ fn coarsen_into<R: Rng + ?Sized>(
         let mut best = u32::MAX;
         let mut best_w = f64::NEG_INFINITY;
         for (u, w, _) in g.neighbors(NodeId(v as u32)) {
-            if mate[u.index()] == u32::MAX && u.index() != v && w > best_w {
+            if mate[u.index()] == u32::MAX
+                && u.index() != v
+                && w > best_w
+                && node_w[v] + node_w[u.index()] <= max_node_w
+            {
                 best_w = w;
                 best = u.0;
             }
@@ -905,6 +557,7 @@ fn coarsen_into<R: Rng + ?Sized>(
             mate[v] = v as u32; // matched with itself
         }
     }
+    // assign coarse ids
     out.map.clear();
     out.map.resize(n, u32::MAX);
     out.node_w.clear();
@@ -932,8 +585,8 @@ fn coarsen_into<R: Rng + ?Sized>(
     builder.build_into(&mut out.graph);
 }
 
-// Randomised initial bisection into a caller buffer; bit-identical seed
-// draws and candidate selection to `initial_bisection`.
+// Randomised initial bisection into `out`: `opts.tries` greedy growings
+// from random seeds, each FM-refined, keeping the smallest cut.
 #[allow(clippy::too_many_arguments)]
 fn initial_bisection_into<R: Rng + ?Sized>(
     g: &Graph,
@@ -964,8 +617,8 @@ fn initial_bisection_into<R: Rng + ?Sized>(
             fm_refine_with(g, node_w, cand, cap0, cap1, opts.fm_passes, fm);
         }
         let c = g.cut_weight(cand);
-        // seeding with the first try keeps this total (NaN-proof), exactly
-        // like the reference path's strict `<` selection
+        // seeding with the first try keeps this total: NaN cuts (from
+        // pathological weights) can never talk us out of every candidate
         if t == 0 || c < best_cut {
             best_cut = c;
             std::mem::swap(cand, best);
@@ -975,17 +628,21 @@ fn initial_bisection_into<R: Rng + ?Sized>(
     out.extend_from_slice(best);
 }
 
-/// Scratch-buffer variant of [`multilevel_bisection`] for hot loops: the
-/// side vector lands in `out_side` and every intermediate buffer (ladder
-/// graphs, FM heaps, growth frontiers) comes from `scratch`, reused across
-/// calls. The result — side vector, cut, side weights, and the RNG stream
-/// consumed — is **bit-identical** to the allocating path.
+/// Multilevel balanced bisection: coarsen by heavy-edge matching, grow an
+/// initial partition on the coarsest graph, then project back up refining
+/// with FM at every level. Deterministic given the RNG state.
 ///
-/// The recursion of the reference implementation is unrolled into an
-/// explicit V-shape (coarsen down, initial-bisect the coarsest level,
-/// project and refine back up); the operation order, and with it every
-/// float operation and RNG draw, is unchanged.
-pub fn multilevel_bisection_with<R: Rng + ?Sized>(
+/// The side vector lands in `out_side` (`false` = side 0) and every
+/// intermediate buffer (ladder graphs, FM heaps, growth frontiers) comes
+/// from `scratch`, reused across calls. The V-cycle is an explicit loop:
+/// coarsen down until a level has at most `opts.coarsen_until` nodes or
+/// stalls, bisect the coarsest level, then project and refine back up. It
+/// reproduces the recursive allocating formulation that is kept as a test
+/// oracle bit for bit: side vector, cut, side weights and RNG draws.
+///
+/// Total on degenerate inputs: an empty graph yields the empty bisection
+/// (zero cut, zero weights) and a single node lands on side 0.
+pub fn multilevel_bisection<R: Rng + ?Sized>(
     g: &Graph,
     node_w: &[f64],
     opts: &BisectOpts,
@@ -998,7 +655,7 @@ pub fn multilevel_bisection_with<R: Rng + ?Sized>(
     out_side.clear();
     if n == 0 {
         // `cut_weight` of an edgeless side is an empty f64 sum, i.e. -0.0;
-        // go through it so the bits match the reference exactly
+        // go through it so the bits match every other cut
         return SideStats {
             cut: g.cut_weight(out_side),
             weight0: 0.0,
@@ -1018,8 +675,7 @@ pub fn multilevel_bisection_with<R: Rng + ?Sized>(
     } = scratch;
     caps.clear();
 
-    // downward pass: coarsen until the size threshold or a stall, exactly
-    // where the recursive reference would stop
+    // downward pass: coarsen until the size threshold or a stall
     let mut d = 0usize;
     loop {
         let (n_d, total) = if d == 0 {
@@ -1045,10 +701,19 @@ pub fn multilevel_bisection_with<R: Rng + ?Sized>(
         } else {
             (&lo[d - 1].graph, &lo[d - 1].node_w)
         };
-        coarsen_into(cur_g, cur_w, rng, order, mate, builder, &mut hi[0]);
+        coarsen_capped_into(
+            cur_g,
+            cur_w,
+            f64::INFINITY,
+            rng,
+            order,
+            mate,
+            builder,
+            &mut hi[0],
+        );
         if hi[0].graph.num_nodes() as f64 > 0.95 * n_d as f64 {
             // coarsening stalled (e.g. star graphs): solve level d directly
-            // (the stalled level consumed its RNG draws, like the reference)
+            // (the stalled level has consumed its RNG draws all the same)
             break;
         }
         d += 1;
@@ -1097,7 +762,7 @@ pub fn multilevel_bisection_with<R: Rng + ?Sized>(
         }
     }
 
-    // stats of the level-0 side, in the reference path's float order
+    // stats of the level-0 side
     let cut = g.cut_weight(out_side);
     let mut w0 = 0.0;
     let mut w1 = 0.0;
@@ -1122,17 +787,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    // The engine's bisection of `g` as an owned side plus its stats.
+    fn bisect(g: &Graph, w: &[f64], opts: &BisectOpts, rng: &mut StdRng) -> (Vec<bool>, SideStats) {
+        let mut side = Vec::new();
+        let stats = multilevel_bisection(g, w, opts, rng, &mut BisectScratch::new(), &mut side);
+        (side, stats)
+    }
+
     #[test]
     fn degenerate_graphs_bisect_without_panicking() {
         let mut rng = StdRng::seed_from_u64(5);
         let empty = Graph::from_edges(0, &[]);
-        let b = multilevel_bisection(&empty, &[], &BisectOpts::default(), &mut rng);
-        assert!(b.side.is_empty());
+        let (side, b) = bisect(&empty, &[], &BisectOpts::default(), &mut rng);
+        assert!(side.is_empty());
         assert_eq!(b.cut, 0.0);
 
         let single = Graph::from_edges(1, &[]);
-        let b = multilevel_bisection(&single, &[1.0], &BisectOpts::default(), &mut rng);
-        assert_eq!(b.side, vec![false]);
+        let (side, b) = bisect(&single, &[1.0], &BisectOpts::default(), &mut rng);
+        assert_eq!(side, vec![false]);
         assert_eq!(b.weight0, 1.0);
 
         // zero tries must still produce a bisection (documented fallback)
@@ -1141,8 +813,8 @@ mod tests {
             tries: 0,
             ..Default::default()
         };
-        let b = multilevel_bisection(&pair, &[1.0, 1.0], &opts, &mut rng);
-        assert_eq!(b.side.len(), 2);
+        let (side, _) = bisect(&pair, &[1.0, 1.0], &opts, &mut rng);
+        assert_eq!(side.len(), 2);
     }
 
     #[test]
@@ -1150,9 +822,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let g = generators::grid2d(&mut rng, 6, 6, 1.0, 1.0);
         let w = vec![1.0; 36];
-        let b = grow_bisection(&g, &w, 18.0, NodeId(0));
-        assert!(b.weight0 >= 18.0);
-        assert!(b.weight0 <= 19.0 + 1e-9); // one node overshoot max
+        let mut side = Vec::new();
+        grow_bisection_into(
+            &g,
+            &w,
+            18.0,
+            NodeId(0),
+            &mut side,
+            &mut GrowScratch::default(),
+        );
+        let weight0: f64 = (0..36).filter(|&v| !side[v]).map(|v| w[v]).sum();
+        assert!(weight0 >= 18.0);
+        assert!(weight0 <= 19.0 + 1e-9); // one node overshoot max
     }
 
     #[test]
@@ -1172,7 +853,7 @@ mod tests {
         let mut side = vec![false, false, true, true, false, false, true, true];
         let before = g.cut_weight(&side);
         // caps allow one node of slack per side, as real callers always do
-        fm_refine(&g, &w, &mut side, 5.0, 5.0, 8);
+        fm_refine(&g, &w, &mut side, 5.0, 5.0, 8, &mut BisectScratch::new());
         let after = g.cut_weight(&side);
         assert!(after < before);
         assert!(
@@ -1188,7 +869,7 @@ mod tests {
         let w: Vec<f64> = (0..20).map(|_| rng.gen_range(0.5..1.5)).collect();
         let mut side: Vec<bool> = (0..20).map(|v| v % 2 == 0).collect();
         let cap = 0.6 * w.iter().sum::<f64>();
-        fm_refine(&g, &w, &mut side, cap, cap, 6);
+        fm_refine(&g, &w, &mut side, cap, cap, 6, &mut BisectScratch::new());
         let w1: f64 = (0..20).filter(|&v| side[v]).map(|v| w[v]).sum();
         let w0: f64 = w.iter().sum::<f64>() - w1;
         assert!(w0 <= cap + 1e-9);
@@ -1197,10 +878,11 @@ mod tests {
 
     #[test]
     fn coarsen_preserves_totals() {
+        // the bisection ladder's matcher: no weight cap
         let mut rng = StdRng::seed_from_u64(4);
         let g = generators::gnp_connected(&mut rng, 40, 0.15, 1.0, 3.0);
         let w = vec![1.0; 40];
-        let c = coarsen(&g, &w, &mut rng);
+        let c = coarsen_capped(&g, &w, f64::INFINITY, &mut rng);
         assert!(c.graph.num_nodes() < 40);
         assert!((c.node_w.iter().sum::<f64>() - 40.0).abs() < 1e-9);
         // each coarse node holds 1 or 2 fine nodes
@@ -1265,7 +947,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::planted_clusters(&mut rng, 2, 30, 0.4, 5.0, 0.02, 0.2);
         let w = vec![1.0; 60];
-        let b = multilevel_bisection(&g, &w, &BisectOpts::default(), &mut rng);
+        let (_, b) = bisect(&g, &w, &BisectOpts::default(), &mut rng);
         // planted cut weight
         let part: Vec<bool> = (0..60).map(|v| v >= 30).collect();
         let planted = g.cut_weight(&part);
@@ -1283,69 +965,8 @@ mod tests {
         let g = Graph::from_edges(2, &[(0, 1, 1.0)]);
         let w = vec![1.0, 1.0];
         let mut rng = StdRng::seed_from_u64(6);
-        let b = multilevel_bisection(&g, &w, &BisectOpts::default(), &mut rng);
-        assert_ne!(b.side[0], b.side[1]);
-    }
-
-    #[test]
-    fn scratch_bisection_is_bit_identical_to_allocating_path() {
-        // one scratch across many graphs, sizes and option sets: sides, cut
-        // stats AND the RNG stream consumed must all coincide exactly with
-        // the recursive allocating reference
-        let mut scratch = BisectScratch::new();
-        let mut side = Vec::new();
-        let opt_sets = [
-            BisectOpts::default(),
-            BisectOpts {
-                coarsen_until: 8,
-                tries: 2,
-                ..Default::default()
-            },
-            BisectOpts {
-                no_refine: true,
-                ..Default::default()
-            },
-            BisectOpts {
-                target0_frac: 0.3,
-                fm_passes: 2,
-                ..Default::default()
-            },
-        ];
-        for seed in 0..4u64 {
-            let mut gen_rng = StdRng::seed_from_u64(seed);
-            let graphs = [
-                generators::grid2d(&mut gen_rng, 9, 9, 0.5, 2.0),
-                generators::gnp_connected(&mut gen_rng, 120, 0.05, 0.5, 3.0),
-                generators::barabasi_albert(&mut gen_rng, 90, 2, 0.5, 2.0),
-                Graph::from_edges(1, &[]),
-                Graph::from_edges(0, &[]),
-            ];
-            for g in &graphs {
-                let n = g.num_nodes();
-                let mut wrng = StdRng::seed_from_u64(seed ^ 0xabc);
-                let w: Vec<f64> = (0..n).map(|_| wrng.gen_range(0.5..1.5)).collect();
-                for (oi, opts) in opt_sets.iter().enumerate() {
-                    let mut r1 = StdRng::seed_from_u64(1000 + seed);
-                    let mut r2 = StdRng::seed_from_u64(1000 + seed);
-                    let want = multilevel_bisection(g, &w, opts, &mut r1);
-                    let got =
-                        multilevel_bisection_with(g, &w, opts, &mut r2, &mut scratch, &mut side);
-                    let ctx = format!("seed={seed} n={n} opts#{oi}");
-                    assert_eq!(side, want.side, "{ctx}");
-                    assert_eq!(
-                        got.cut.to_bits(),
-                        want.cut.to_bits(),
-                        "{ctx} got={} want={}",
-                        got.cut,
-                        want.cut
-                    );
-                    assert_eq!(got.weight0.to_bits(), want.weight0.to_bits(), "{ctx}");
-                    assert_eq!(got.weight1.to_bits(), want.weight1.to_bits(), "{ctx}");
-                    // both paths must have consumed the same RNG stream
-                    assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
-                }
-            }
-        }
+        let (side, _) = bisect(&g, &w, &BisectOpts::default(), &mut rng);
+        assert_ne!(side[0], side[1]);
     }
 
     #[test]
@@ -1357,7 +978,7 @@ mod tests {
             target0_frac: 0.25,
             ..Default::default()
         };
-        let b = multilevel_bisection(&g, &w, &opts, &mut rng);
+        let (_, b) = bisect(&g, &w, &opts, &mut rng);
         assert!(b.weight0 <= 0.25 * 64.0 * 1.1 + 1.0);
         assert!(
             b.weight0 >= 8.0,

@@ -7,13 +7,15 @@
 //! Manghiuc–Sun, arXiv:2112.09055):
 //!
 //! 1. **Coarsen** — a ladder of weight-aware contractions; merged node
-//!    demands never exceed the leaf capacity `CP(1) = 1`, so every coarse
-//!    graph is itself a valid [`Instance`], and each rung records its
-//!    projection map. Mesh-like rungs use heavy-edge matching
-//!    ([`hgp_graph::partition::coarsen_capped`]); degree-skewed rungs
-//!    (power-law hubs, detected per rung) use size-constrained label
-//!    propagation ([`hgp_graph::partition::coarsen_lp`]), capped at an 8×
-//!    shrink per rung so intermediate resolutions survive for refinement.
+//!    demands stay within the leaf capacity `CP(1) = 1` (label propagation
+//!    within a rounding tolerance of `1e-12`, which the rung instances
+//!    clamp away), so every coarse graph is itself a valid [`Instance`],
+//!    and each rung records its projection map. Mesh-like rungs use
+//!    heavy-edge matching ([`hgp_graph::partition::coarsen_capped`]);
+//!    degree-skewed rungs (power-law hubs, detected per rung) use
+//!    size-constrained label propagation
+//!    ([`hgp_graph::partition::coarsen_lp`]), capped at an 8× shrink per
+//!    rung so intermediate resolutions survive for refinement.
 //! 2. **Core solve** — the coarsest graph goes to the unchanged
 //!    [`Solve`] façade: full tree distribution, arena DP, Theorem-5 repair.
 //!    Because the Räcke-tree pipeline is a *bicriteria approximation*, a
@@ -96,6 +98,14 @@ const RESEED_FLOOR: usize = 512;
 /// could collapse a power-law graph straight to the capacity floor — still
 /// leaves the intermediate resolutions FM refinement needs.
 const MAX_SHRINK_PER_LEVEL: usize = 8;
+
+/// A ladder rung as an [`Instance`]. Label propagation admits a cluster
+/// up to `1 + 1e-12`, a rounding error above the leaf capacity that
+/// [`Instance::new`] rejects, so each demand is clamped to `1`; weights
+/// within capacity pass through unchanged.
+fn rung_instance(g: &Graph, w: &[f64]) -> Instance {
+    Instance::new(g.clone(), w.iter().map(|&d| d.min(1.0)).collect())
+}
 
 /// Heavy-edge matching tears hub-and-spoke neighbourhoods apart one pair
 /// at a time, so degree-skewed (power-law) graphs coarsen by clustering
@@ -233,7 +243,7 @@ pub fn solve_multilevel(
 
     // ---- 2. exact core solve on the coarsest instance ------------------
     let core_start = std::time::Instant::now();
-    let coarse_inst = Instance::new(coarsest_graph.clone(), coarsest_w.to_vec());
+    let coarse_inst = rung_instance(coarsest_graph, coarsest_w);
     let (core, seed_assignment, seeded_by_kway) = {
         let _span = sink.as_ref().map(|s| s.span(names::ML_CORE));
         let core = Solve::new(&coarse_inst, h).options(*opts).run()?;
@@ -347,7 +357,7 @@ pub fn solve_multilevel(
                 }
             }
             if reseed && g.num_nodes() <= (n / RESEED_DIVISOR).max(RESEED_FLOOR) {
-                let rung_inst = Instance::new(g.clone(), w.to_vec());
+                let rung_inst = rung_instance(g, w);
                 let part =
                     kway_partition(g, w, h.num_leaves(), &KwayOpts::default(), &mut reseed_rng);
                 let mut alt = Assignment::new(part, h);
@@ -523,6 +533,31 @@ mod tests {
         assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         assert_eq!(a.assignment.leaves(), b.assignment.leaves());
         assert_eq!(a.levels, b.levels);
+    }
+
+    #[test]
+    fn coarse_weights_a_rounding_error_over_capacity_still_solve() {
+        // uniform demands on a power-law graph: label propagation fills
+        // clusters a rounding error past 1, which a rung instance must
+        // accept rather than panic on
+        let mut rng = StdRng::seed_from_u64(1);
+        let g = generators::barabasi_albert(&mut rng, 16_384, 2, 0.5, 3.0);
+        let inst = Instance::new(g, vec![0.8 * 16.0 / 16_384.0; 16_384]);
+        let h = presets::multicore(4, 4, 4.0, 1.0);
+        let opts = SolverOptions::builder()
+            .trees(4)
+            .units(4)
+            .threads(hgp_core::Parallelism::serial())
+            .seed(1)
+            .multilevel(MultilevelOptions {
+                enabled: true,
+                ..Default::default()
+            })
+            .build();
+        let rep = solve_multilevel(&inst, &h, &opts).unwrap();
+        assert!(rep.levels >= 1);
+        assert_eq!(rep.assignment.num_tasks(), 16_384);
+        assert!(rep.cost.is_finite() && rep.cost > 0.0);
     }
 
     #[test]

@@ -127,6 +127,10 @@ impl WireError {
 pub const MAX_INLINE_NODES: usize = 65_536;
 /// Companion cap on inline edge count.
 pub const MAX_INLINE_EDGES: usize = 1_048_576;
+/// Edge probability inside a `gen:clustered` cluster.
+const CLUSTERED_P_IN: f64 = 0.5;
+/// Edge probability between two `gen:clustered` clusters.
+const CLUSTERED_P_OUT: f64 = 0.05;
 /// Largest accepted `deadline-ms`. An unbounded value would overflow the
 /// `Instant + Duration` deadline arithmetic (itself a wire-reachable
 /// panic); anything above ten minutes is effectively "no deadline".
@@ -315,6 +319,20 @@ impl GraphSpec {
             }
             ["clustered", dims, s] => {
                 let (blocks, size) = dims_of(dims)?;
+                // the generator draws every node pair, so a size whose
+                // expected edge count is past the cap is refused before
+                // that quadratic loop runs
+                let (b, z) = (blocks as f64, size as f64);
+                let expected = CLUSTERED_P_IN * b * z * (z - 1.0) / 2.0
+                    + CLUSTERED_P_OUT * z * z * b * (b - 1.0) / 2.0;
+                if expected > MAX_INLINE_EDGES as f64 {
+                    return Err(WireError::new(
+                        ErrCode::GraphTooLarge,
+                        format!(
+                            "dimensions {dims:?} describe about {expected:.0} edges, more than {MAX_INLINE_EDGES}"
+                        ),
+                    ));
+                }
                 Ok(GenFamily::Clustered {
                     blocks,
                     size,
@@ -360,7 +378,15 @@ impl GraphSpec {
                 GenFamily::Clustered { blocks, size, seed } => {
                     let mut rng = StdRng::seed_from_u64(seed);
                     Ok((
-                        generators::planted_clusters(&mut rng, blocks, size, 0.5, 3.0, 0.05, 0.3),
+                        generators::planted_clusters(
+                            &mut rng,
+                            blocks,
+                            size,
+                            CLUSTERED_P_IN,
+                            3.0,
+                            CLUSTERED_P_OUT,
+                            0.3,
+                        ),
                         None,
                     ))
                 }
@@ -404,6 +430,17 @@ impl SolveSpec {
     /// Builds the `Instance` this spec describes.
     pub fn instance(&self) -> Result<Instance, WireError> {
         let (graph, gen_demands) = self.graph.build()?;
+        // a random family can land past the edge cap its parse-time
+        // estimate let through
+        if graph.num_edges() > MAX_INLINE_EDGES {
+            return Err(WireError::new(
+                ErrCode::GraphTooLarge,
+                format!(
+                    "the graph has {} edges, more than {MAX_INLINE_EDGES}",
+                    graph.num_edges()
+                ),
+            ));
+        }
         let n = graph.num_nodes();
         let k = self.machine.num_leaves();
         let demands = if let Some(ds) = &self.demands {
@@ -948,6 +985,32 @@ mod tests {
         assert_eq!(e.code, ErrCode::BadRequest);
         let e = Request::parse("solve graph=gen:powerlaw:2:1 machine=4").unwrap_err();
         assert_eq!(e.code, ErrCode::BadRequest);
+    }
+
+    #[test]
+    fn clustered_specs_past_the_edge_cap_are_refused() {
+        // 90x90 expects about 1.8 M edges: refused before the generator
+        // runs, with the same code as every other oversized graph
+        let e = Request::parse("solve graph=gen:clustered:90x90:1 machine=4").unwrap_err();
+        assert_eq!(e.code, ErrCode::GraphTooLarge, "{e:?}");
+        // the sizes the benchmark and the tests use still parse
+        for dims in ["8x16", "2x4", "3x5"] {
+            let line = format!("solve graph=gen:clustered:{dims}:1 machine=4");
+            assert!(Request::parse(&line).is_ok(), "{line}");
+        }
+        // and a built graph past the cap is refused whatever its spec
+        let Ok(Request::Solve(mut spec)) =
+            Request::parse("solve graph=gen:clustered:2x4:1 machine=4")
+        else {
+            panic!("a small clustered solve must parse");
+        };
+        spec.graph = GraphSpec::Gen(GenFamily::Clustered {
+            blocks: 90,
+            size: 90,
+            seed: 1,
+        });
+        let e = spec.instance().unwrap_err();
+        assert_eq!(e.code, ErrCode::GraphTooLarge, "{e:?}");
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! Determinism: every pipeline stage is bit-reproducible from its seed,
-//! and the scratch-arena tree builder and sampler reproduce the
-//! allocating reference ones (`oracle/alloc_sampler.rs`) bit for bit.
+//! Determinism: every pipeline stage is bit-reproducible from its seed;
+//! the scratch-arena tree builder and sampler reproduce the allocating
+//! reference ones (`oracle/alloc_sampler.rs`), and the bisection engine
+//! the recursive allocating one (`oracle/alloc_bisection.rs`), bit for
+//! bit; and k-way recursive bisection is pinned by literals.
 
 mod oracle;
 
+use hgp::baselines::kway::{kway_partition, split_into_groups, KwayOpts};
 use hgp::core::solver::{HgpReport, SolverOptions};
 use hgp::core::{Instance, Parallelism, Solve};
 use hgp::decomp::{
     build_decomp_tree, racke_distribution, racke_distribution_par, CutOracle, DecompOpts,
     DecompTree, Distribution,
 };
-use hgp::graph::generators;
+use hgp::graph::partition::{multilevel_bisection, BisectOpts, BisectScratch};
+use hgp::graph::{generators, Graph};
 use hgp::hierarchy::{presets, Hierarchy};
+use oracle::alloc_bisection;
 use oracle::alloc_sampler::{build_decomp_tree_prescaled, racke_distribution_ref, scale_graph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -311,4 +316,135 @@ fn zero_trees_yields_the_empty_distribution() {
     );
     assert!(r.trees.is_empty());
     assert!(r.lambdas.is_empty());
+}
+
+#[test]
+fn scratch_bisection_is_bit_identical_to_allocating_path() {
+    // one scratch across many graphs, sizes and option sets: sides, cut
+    // stats AND the RNG stream consumed must all coincide exactly with
+    // the recursive allocating reference
+    let mut scratch = BisectScratch::new();
+    let mut side = Vec::new();
+    let opt_sets = [
+        BisectOpts::default(),
+        BisectOpts {
+            coarsen_until: 8,
+            tries: 2,
+            ..Default::default()
+        },
+        BisectOpts {
+            no_refine: true,
+            ..Default::default()
+        },
+        BisectOpts {
+            target0_frac: 0.3,
+            fm_passes: 2,
+            ..Default::default()
+        },
+    ];
+    for seed in 0..4u64 {
+        let mut gen_rng = StdRng::seed_from_u64(seed);
+        let graphs = [
+            generators::grid2d(&mut gen_rng, 9, 9, 0.5, 2.0),
+            generators::gnp_connected(&mut gen_rng, 120, 0.05, 0.5, 3.0),
+            generators::barabasi_albert(&mut gen_rng, 90, 2, 0.5, 2.0),
+            Graph::from_edges(1, &[]),
+            Graph::from_edges(0, &[]),
+        ];
+        for g in &graphs {
+            let n = g.num_nodes();
+            let mut wrng = StdRng::seed_from_u64(seed ^ 0xabc);
+            let w: Vec<f64> = (0..n).map(|_| wrng.gen_range(0.5..1.5)).collect();
+            for (oi, opts) in opt_sets.iter().enumerate() {
+                let mut r1 = StdRng::seed_from_u64(1000 + seed);
+                let mut r2 = StdRng::seed_from_u64(1000 + seed);
+                let want = alloc_bisection::multilevel_bisection(g, &w, opts, &mut r1);
+                let got = multilevel_bisection(g, &w, opts, &mut r2, &mut scratch, &mut side);
+                let ctx = format!("seed={seed} n={n} opts#{oi}");
+                assert_eq!(side, want.side, "{ctx}");
+                assert_eq!(
+                    got.cut.to_bits(),
+                    want.cut.to_bits(),
+                    "{ctx} got={} want={}",
+                    got.cut,
+                    want.cut
+                );
+                assert_eq!(got.weight0.to_bits(), want.weight0.to_bits(), "{ctx}");
+                assert_eq!(got.weight1.to_bits(), want.weight1.to_bits(), "{ctx}");
+                // both paths must have consumed the same RNG stream
+                assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+            }
+        }
+    }
+}
+
+/// FNV-1a over a sequence of `u32`s: pins a whole part vector without a
+/// literal per task.
+fn fnv(xs: impl IntoIterator<Item = u32>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in xs {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn kway_answers_are_pinned_bit_for_bit() {
+    // k-way recursive bisection feeds the flat baselines, the server's
+    // deadline fallback and the multilevel seed panel; its part vectors
+    // and the RNG draws it consumes are recorded here as literals, so a
+    // change of bisection engine has to reproduce each one exactly
+    let mut gen = StdRng::seed_from_u64(2718);
+    let graphs = [
+        ("mesh", generators::grid2d(&mut gen, 37, 29, 0.5, 2.0)),
+        (
+            "powerlaw",
+            generators::barabasi_albert(&mut gen, 1_500, 2, 0.5, 3.0),
+        ),
+        (
+            "clustered",
+            generators::planted_clusters(&mut gen, 6, 40, 0.5, 3.0, 0.05, 0.3),
+        ),
+    ];
+    let mut actual = Vec::new();
+    for (name, g) in &graphs {
+        let n = g.num_nodes();
+        let w: Vec<f64> = (0..n).map(|_| gen.gen_range(0.5..1.5)).collect();
+        for k in [3usize, 16] {
+            let mut rng = StdRng::seed_from_u64(31 + k as u64);
+            let part = kway_partition(g, &w, k, &KwayOpts::default(), &mut rng);
+            assert!(part.iter().all(|&p| (p as usize) < k));
+            actual.push(format!(
+                "{name} k={k} part={:016x} next={:016x}",
+                fnv(part.iter().copied()),
+                rng.gen::<u64>()
+            ));
+        }
+    }
+    // the dual-recursive mapper's entry point, on a strict subset of tasks
+    let (_, g) = &graphs[2];
+    let w = vec![1.0; g.num_nodes()];
+    let tasks: Vec<u32> = (0..g.num_nodes() as u32).filter(|t| t % 5 != 2).collect();
+    let mut rng = StdRng::seed_from_u64(99);
+    let groups = split_into_groups(g, &w, &tasks, 5, &KwayOpts::default(), &mut rng);
+    assert_eq!(groups.len(), 5);
+    actual.push(format!(
+        "groups sizes={:?} hash={:016x} next={:016x}",
+        groups.iter().map(Vec::len).collect::<Vec<_>>(),
+        fnv(groups.iter().flatten().copied()),
+        rng.gen::<u64>()
+    ));
+    let expected: [&str; 7] = [
+        "mesh k=3 part=065443d0c7d342e5 next=5813d7cc5d20e449",
+        "mesh k=16 part=508fe72b62b1cbc2 next=cd9d543233e0c9fb",
+        "powerlaw k=3 part=f04e0bc2eb8df697 next=78b6988897aa21be",
+        "powerlaw k=16 part=b673cb9d8148b5a5 next=52016967404d4ce7",
+        "clustered k=3 part=3d8c321cc1a4c4a5 next=3a6d286ba641e4d2",
+        "clustered k=16 part=73e1d2cff8009d85 next=de248ffca017ed65",
+        "groups sizes=[50, 42, 34, 32, 34] hash=db56d987bfa965a5 next=d59c51abeaf9dced",
+    ];
+    assert_eq!(actual, expected, "actual records:\n{actual:#?}");
 }

@@ -6,10 +6,10 @@
 //! `hgp_decomp::build_decomp_tree` must stay bit-identical to
 //! [`racke_distribution_ref`] and [`build_decomp_tree_prescaled`].
 
+use super::alloc_bisection::{fm_refine, multilevel_bisection, Bisection};
 use hgp::decomp::{
     hop_congestion, par_map_indexed, CutOracle, DecompOpts, DecompTree, Distribution, Parallelism,
 };
-use hgp::graph::partition::{fm_refine, multilevel_bisection, Bisection};
 use hgp::graph::spectral::{spectral_bisection, SpectralOpts};
 use hgp::graph::tree::RootedTree;
 use hgp::graph::{Graph, GraphBuilder, NodeId, SubgraphScratch};
